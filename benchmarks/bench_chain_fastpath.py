@@ -4,8 +4,8 @@ Two claims from the chain substrate (:mod:`repro.chain.fastpath`) and the
 sweep runner (:mod:`repro.harness.parallel`):
 
 * ``fastpath`` replaces the per-message DES with one batched
-  order-statistics kernel call per epoch (plus DES replays for
-  Byzantine-primary committees).  Both engines are timed back to back on
+  order-statistics kernel call per epoch (Byzantine-primary committees
+  run its closed-form view change in the same call).  Both engines are timed back to back on
   the Fig. 2 campaign at every network size, so the speedup at the
   largest size IS asserted (same-machine ratio); distributional parity
   is asserted via two-sample KS on the formation and consensus latency

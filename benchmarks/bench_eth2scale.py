@@ -9,7 +9,10 @@ asserts the tentpole budget claims:
 * the curve has at least three points (the recorded scaling series);
 * every size completes -- committees form and shards are submitted;
 * peak RSS stays under 2 GiB at the largest size (``ru_maxrss`` is
-  process-lifetime monotone, so the final reading bounds the whole run).
+  process-lifetime monotone, so the final reading bounds the whole run);
+* no committee replays on the DES for a Byzantine view-0 primary: on the
+  default loss-free network the closed-form view-change kernel covers
+  them (a machine-independent count, unlike the walls).
 
 The record lands in ``BENCH_eth2scale.json`` at the repo root, written
 by the runner itself (this is the one bench whose artifact is the
@@ -42,6 +45,7 @@ def test_eth2scale_bench(capsys):
         assert point["committees_formed"] > 0
         assert point["shards_submitted"] > 0
         assert point["epoch_wall_s"] > 0.0
+        assert point["des_replays"].get("byzantine-primary", 0) == 0, point["des_replays"]
     peak = points[-1]["peak_rss_kib"]
     assert peak is not None, "getrusage must be available on the bench host"
     assert peak < _PEAK_RSS_BUDGET_KIB, (

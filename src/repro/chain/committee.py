@@ -15,9 +15,9 @@ from repro.chain.blocks import ShardBlock
 from repro.chain.node import Node
 from repro.chain.fastpath import (
     _pbft_kernel_batch,
+    emit_kernel_round,
     kernel_chunk_rows,
     run_pbft,
-    view_change_timeout,
 )
 from repro.chain.params import ChainParams
 from repro.chain.network import Network
@@ -37,6 +37,8 @@ class Committee:
     consensus_latency: Optional[float] = None
     shard_tx_count: int = 0
     shard_block: Optional[ShardBlock] = None
+    #: why stage 3 replayed this committee on the DES (``None`` = kernel)
+    des_replay: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -118,28 +120,30 @@ def _stage3_commit_times(
 ) -> List[Committee]:
     """The shared stage-3 core: chunked batch kernel + DES fallbacks.
 
-    Every closed-form-eligible committee (quorum reachable, honest view-0
-    primary, loss-free network) goes through one chunked order-statistics
-    kernel call (committee chunks sized by ``params.max_batch_bytes``;
-    byte-identical at any chunk size) instead of ``K`` per-committee
-    calls; the rest replay under the reference DES afterwards, as do
-    eligible committees whose closed-form commit time reaches the
-    view-change timeout.  Committee-vs-committee draw order differs from
-    the serial per-round loop (batch key first, fallbacks second), which
-    is fine because all rounds draw independently; with a lossy network
-    nothing is batch-drawn -- not even the Philox key -- every replay
-    drains its full event queue, and the epoch stays byte-identical to
-    the pure DES.
+    Every committee that reaches quorum on a loss-free network goes
+    through one chunked order-statistics kernel call (committee chunks
+    sized by ``params.max_batch_bytes``; byte-identical at any chunk
+    size) instead of ``K`` per-committee calls.  A committee whose view-0
+    primary is Byzantine runs the kernel's VIEW-CHANGE cascade up to its
+    first honest primary inside the same call.  The reference DES replays
+    only what the closed form cannot cover, afterwards: every committee
+    of a lossy network, and committees whose closed-form commit reaches
+    the timeout of their view.  Committee-vs-committee draw order differs
+    from the serial per-round loop (batch key first, fallbacks second),
+    which is fine because all rounds draw independently; with a lossy
+    network nothing is batch-drawn -- not even the Philox key -- every
+    replay drains its full event queue, and the epoch stays byte-identical
+    to the pure DES.
 
-    Stamps ``consensus_latency`` on each committing committee and returns
-    the committing committees in committee order; block materialisation
-    is left to the caller (:func:`run_intra_consensus_batch` builds
-    :class:`ShardBlock` objects, :func:`run_intra_consensus_streaming`
-    folds straight into a crosslink sink).
+    Stamps ``consensus_latency`` on each committing committee (and
+    ``des_replay`` on each replayed one) and returns the committing
+    committees in committee order; block materialisation is left to the
+    caller (:func:`run_intra_consensus_batch` builds :class:`ShardBlock`
+    objects, :func:`run_intra_consensus_streaming` folds straight into a
+    crosslink sink).
     """
     if verify_mean_s is None:
         verify_mean_s = calibrated_verify_mean(params)
-    timeout_s = view_change_timeout(params.network, verify_mean_s)
     lossy = params.network.loss_probability > 0.0
 
     eligible: List[Committee] = []
@@ -151,8 +155,6 @@ def _stage3_commit_times(
             raise ValueError("PBFT needs at least 4 members (3f+1, f >= 1)")
         if lossy:
             fallbacks.append((committee, "lossy-network"))
-        elif not committee.leader.honest:
-            fallbacks.append((committee, "byzantine-primary"))
         elif committee.honest_count < 2 * ((committee.size - 1) // 3) + 1:
             fallbacks.append((committee, "no-quorum"))
         else:
@@ -177,7 +179,7 @@ def _stage3_commit_times(
                 chunks=-(-len(eligible) // rows),
                 max_batch_bytes=params.max_batch_bytes,
             )
-        commit_times, prepared_primary = _pbft_kernel_batch(
+        batch = _pbft_kernel_batch(
             honest,
             speeds,
             rng,
@@ -185,28 +187,23 @@ def _stage3_commit_times(
             verify_mean_s,
             max_batch_bytes=params.max_batch_bytes,
         )
+        in_time = batch.in_time()
         for k, committee in enumerate(eligible):
-            commit_time = float(commit_times[k])
-            if not np.isfinite(commit_time) or commit_time >= timeout_s:
+            if not in_time[k]:
                 fallbacks.append((committee, "view-change-timeout"))
                 continue
-            committee.consensus_latency = commit_time
+            committee.consensus_latency = float(batch.commit[k])
             if telemetry.enabled:
-                telemetry.record_span(
-                    "chain.pbft.round",
-                    0.0,
-                    commit_time,
-                    tag=f"epoch{committee.epoch}-committee{committee.committee_id}",
-                    view=0,
-                    members=committee.size,
-                    stages={
-                        "pre-prepare-sent": 0.0,
-                        "prepare-quorum": float(prepared_primary[k]),
-                        "commit-quorum": commit_time,
-                    },
+                emit_kernel_round(
+                    telemetry,
+                    f"epoch{committee.epoch}-committee{committee.committee_id}",
+                    batch,
+                    k,
+                    committee.size,
                 )
 
     for committee, reason in fallbacks:
+        committee.des_replay = reason
         round_tag = f"epoch{committee.epoch}-committee{committee.committee_id}"
         if telemetry.enabled:
             telemetry.event("chain.fastpath.fallback", tag=round_tag, reason=reason)
@@ -226,9 +223,9 @@ def _stage3_commit_times(
             # whole event queue (the residual tail consumes randomness).
             engine.run()
         else:
-            # Byzantine-primary / timeout replays are distributional-only,
-            # so stop at the primary's commit instead of processing the
-            # residual event tail (late commit deliveries, stale timers).
+            # Timeout replays are distributional-only, so stop at the
+            # primary's commit instead of processing the residual event
+            # tail (late commit deliveries, stale timers).
             while not outcome.committed and engine.step():
                 pass
         if not outcome.committed:

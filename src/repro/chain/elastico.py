@@ -16,6 +16,7 @@ One :meth:`ElasticoSimulation.run_epoch` call executes:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -81,6 +82,8 @@ class StreamingEpochOutcome:
     randomness: str
     formation_latencies: Dict[int, float] = field(default_factory=dict)
     consensus_latencies: Dict[int, float] = field(default_factory=dict)
+    #: stage-3 DES replays of the member committees, by reason
+    des_replays: Dict[str, int] = field(default_factory=dict)
 
 
 class ElasticoSimulation:
@@ -352,6 +355,9 @@ class ElasticoSimulation:
                 for c in committees
                 if c.consensus_latency is not None
             },
+            des_replays=dict(
+                Counter(c.des_replay for c in member_committees if c.des_replay is not None)
+            ),
         )
         if self.telemetry.enabled:
             self.telemetry.event(

@@ -9,14 +9,16 @@ reference-vs-optimized discipline as :mod:`repro.core.engine` (the DES
 stays ground truth; the fast path is validated distributionally with
 per-size KS tests in ``tests/test_chain_fastpath.py``).
 
-**PBFT kernel.**  With an honest view-0 primary, a loss-free network and
-no view change, the DES round is a deterministic function of its random
-inputs, so the whole event cascade collapses into matrix algebra:
+**PBFT kernel.**  On a loss-free network whose honest members reach
+quorum, the DES round is a deterministic function of its random inputs,
+so the whole event cascade collapses into matrix algebra.  The normal
+case under primary seat ``p`` starting at ``t``:
 
 * NIC serialisation is a *rank* matrix ``D[i, r] = pos(i, r) / bandwidth``
   where ``pos`` is recipient ``r``'s position in sender ``i``'s broadcast
   (member order, sender skipped);
-* pre-prepare arrival at replica ``r`` is ``D[0, r] + Lognormal``;
+* pre-prepare arrival at replica ``r`` is ``t + D[p, r] + Lognormal``
+  (later if the primary's NIC is still busy at ``t``);
 * prepare votes land at ``B[i] + D[i, r] + Lognormal`` (``B`` = send time
   deferred by the sender's busy NIC), own votes at their send events, and
   a replica is *prepared* at the first vote event at or after
@@ -25,20 +27,38 @@ inputs, so the whole event cascade collapses into matrix algebra:
   ``(2f+1)``-th smallest commit-vote time -- order statistics instead of
   event scheduling.
 
-The closed form is *invalid* (returns ``None`` -> caller falls back to
-the DES) when the view-0 primary is Byzantine, the honest count cannot
-reach quorum, ``loss_probability > 0``, or the computed commit time
-reaches the view-change timeout (the DES would fire the timer first and
-change views).  The first three checks happen before any RNG draw, so a
-fallback round consumes the stream from exactly the same position as a
-pure DES run and stays byte-identical; the timeout fallback necessarily
-happens after the kernel's draws and is only distributionally faithful.
+**View changes.**  A Byzantine primary never pre-prepares, so view
+``v - 1`` times out at ``tau_v = t_{v-1} + T * 2**(v-1)`` (``t_0 = 0``,
+``T`` = :func:`view_change_timeout`).  Then every honest replica
+broadcasts VIEW-CHANGE(v) in member order: the message from ``i`` to
+``r`` departs at ``tau_v + D[i, r]`` (after the sender's previous
+VIEW-CHANGE burst, if one is still draining) plus a lognormal lag.  A
+vote counts at its first delivery to an *honest* replica (Byzantine
+handlers drop it, a replica does not count its own), and view ``v``
+starts at ``t_v``, the ``(2f+1)``-th smallest of those first-delivery
+times; later VIEW-CHANGE messages are ignored.  The cascade repeats while
+``members[v % c]`` is Byzantine; at the first honest primary the normal
+case runs with ``p = v`` from ``t = t_v``, every honest NIC busy until
+its VIEW-CHANGE burst drains and the primary's pre-prepare burst on top.
+The round then reports the DES's stage times: ``new-view-1 .. v``,
+``pre-prepare-sent = t_v``, ``prepare-quorum``, ``commit-quorum``.
+
+The closed form is *invalid* (caller falls back to the DES) when the
+honest count cannot reach quorum, ``loss_probability > 0``, or the
+computed commit reaches ``t_v + T * 2**v``, the timeout of its view (the
+DES would fire the timer first and change views again).  The first two
+checks happen before any RNG draw, so a fallback round consumes the
+stream from exactly the same position as a pure DES run and stays
+byte-identical; the timeout fallback necessarily happens after the
+kernel's draws and is only distributionally faithful.
 
 **Batched rounds.**  All committees of an epoch share one sequential RNG
 stream, so :func:`repro.chain.committee.run_intra_consensus_batch` stacks
-every closed-form-eligible committee into a single kernel call
-(:func:`_pbft_kernel_batch`) instead of ``K`` small-matrix calls -- the
-per-call numpy dispatch overhead dominates at ``c = 8``.  The batch draws
+every closed-form-eligible committee -- honest and Byzantine view-0
+primaries alike -- into a single kernel call (:func:`_pbft_kernel_batch`)
+instead of ``K`` small-matrix calls; the per-call numpy dispatch overhead
+dominates at ``c = 8``, and at ``c = 128`` a DES replay costs ~40k
+``Network.send`` calls.  The batch draws
 one 128-bit Philox key from the shared stream (a fixed two-``uint64``
 consumption, whatever the batch shape) and replays the ineligible
 committees under the DES afterwards; committee-vs-committee draw *order*
@@ -54,7 +74,11 @@ tensors of ~135 MB each.  Instead the kernel is *counter-addressed*:
 committee ``k`` owns the absolute Philox counter block
 ``[k * S / 4, (k + 1) * S / 4)`` where ``S`` is the per-committee uniform
 budget (:func:`_kernel_draw_budget`, padded to whole 4-word counter
-blocks), and the batch is processed in committee-index chunks sized by a
+blocks) for its normal case.  VIEW-CHANGE round ``j`` has its own region
+after all ``K`` normal-case blocks, in which the committees that need
+round ``j`` hold consecutive ``c^2``-lag blocks in committee order (so a
+chunk draws each round with one contiguous counter range).  The batch is
+processed in committee-index chunks sized by a
 ``max_batch_bytes`` scratch budget (:class:`repro.chain.params.ChainParams`,
 default 256 MiB).  Because every committee's bytes live at a fixed
 counter offset, the chunked result is *byte-identical* at any chunk size
@@ -64,7 +88,8 @@ variates come from the uniform lattice through exact inverse-CDF /
 Box-Muller transforms, so the KS parity claims vs the DES are unchanged.
 Per-chunk scratch (the uniform lattice, the normal block, and two
 ``(rows, c, c)`` vote matrices) is allocated once and reused across
-chunks via ``out=`` ufuncs.
+chunks via ``out=`` ufuncs; the VIEW-CHANGE rounds run in the same
+buffers before the chunk's normal case.
 
 **Crosslink-scale note.**  The commit quorum only ever gates on votes
 *to the primary* (the round commits at the primary's ``(2f+1)``-th
@@ -84,7 +109,7 @@ queue, and one gossip block draw in committee-index order.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,19 +125,17 @@ from repro.sim.rng import counter_rng, philox_key
 #: be pure numpy dispatch overhead.  LRU-bounded: a long-running
 #: multi-configuration sweep (network-size x committee-size x bandwidth)
 #: must not grow the cache without limit.
-_NIC_GEOMETRY: "OrderedDict[Tuple[int, float], Tuple[np.ndarray, np.ndarray, float]]" = (
-    OrderedDict()
-)
+_NIC_GEOMETRY: "OrderedDict[Tuple[int, float], Tuple[np.ndarray, float]]" = OrderedDict()
 _NIC_GEOMETRY_MAX_ENTRIES = 16
 
 
-def _nic_geometry(c: int, inv_bw: float) -> Tuple[np.ndarray, np.ndarray, float]:
-    """``(nic, nic_free0, burst_s)`` for a ``c``-member committee.
+def _nic_geometry(c: int, inv_bw: float) -> Tuple[np.ndarray, float]:
+    """``(nic, burst_s)`` for a ``c``-member committee.
 
     ``nic[i, r]`` is recipient ``r``'s NIC-serialisation delay in sender
-    ``i``'s broadcast burst (member order, sender skipped); ``nic_free0``
-    is each sender's NIC-busy horizon after the pre-prepare (only the
-    primary's is non-zero); ``burst_s`` is one full broadcast burst.
+    ``i``'s broadcast burst (member order, sender skipped); ``burst_s`` is
+    one full broadcast burst, i.e. how long a broadcast keeps the
+    sender's NIC busy.
     """
     key = (c, inv_bw)
     cached = _NIC_GEOMETRY.get(key)
@@ -120,10 +143,7 @@ def _nic_geometry(c: int, inv_bw: float) -> Tuple[np.ndarray, np.ndarray, float]
         idx = np.arange(c)
         rank = np.where(idx[None, :] > idx[:, None], idx[None, :], idx[None, :] + 1)
         np.fill_diagonal(rank, 0)
-        burst_s = (c - 1) * inv_bw
-        nic_free0 = np.zeros(c)
-        nic_free0[0] = burst_s
-        cached = (rank * inv_bw, nic_free0, burst_s)
+        cached = (rank * inv_bw, (c - 1) * inv_bw)
         _NIC_GEOMETRY[key] = cached
         if len(_NIC_GEOMETRY) > _NIC_GEOMETRY_MAX_ENTRIES:
             _NIC_GEOMETRY.popitem(last=False)
@@ -133,7 +153,7 @@ def _nic_geometry(c: int, inv_bw: float) -> Tuple[np.ndarray, np.ndarray, float]
 
 
 def _kernel_draw_budget(c: int) -> Tuple[int, int, int]:
-    """``(uniforms, exponentials, normals)`` one committee consumes.
+    """``(uniforms, exponentials, normals)`` one committee's normal case consumes.
 
     Per ``c``-member committee the kernel needs ``2c`` exponentials
     (prepare + commit verify delays), and ``c + c^2 + c`` standard normals
@@ -150,6 +170,16 @@ def _kernel_draw_budget(c: int) -> Tuple[int, int, int]:
     return total, n_exp, n_norm
 
 
+def _view_change_draw_budget(c: int) -> int:
+    """Uniforms one VIEW-CHANGE round consumes: the ``(c, c)`` lag matrix.
+
+    The diagonal is drawn and ignored (a replica does not count its own
+    vote), which keeps the block a plain square; padded to a whole Philox
+    counter block, which also makes it even for Box-Muller.
+    """
+    return c * c + (-(c * c)) % 4
+
+
 def kernel_bytes_per_committee(c: int) -> int:
     """Approximate live scratch bytes one committee adds to a chunk.
 
@@ -157,6 +187,9 @@ def kernel_bytes_per_committee(c: int) -> int:
     temporaries, the two ``(c, c)`` vote/partition matrices, the boolean
     threshold mask, and a dozen ``(c,)`` working vectors.  Used by
     :func:`kernel_chunk_rows` to size chunks under ``max_batch_bytes``.
+    The VIEW-CHANGE rounds reuse the same lattice, normal block and vote
+    matrix (their ``c^2`` block is smaller than the normal case's), so
+    they add nothing here.
     """
     total_u, _, n_norm = _kernel_draw_budget(c)
     n_norm_u = n_norm + (n_norm & 1)
@@ -174,6 +207,67 @@ def kernel_chunk_rows(c: int, max_batch_bytes: Optional[int]) -> int:
     return max(1, int(max_batch_bytes) // kernel_bytes_per_committee(c))
 
 
+def view_change_timeout(network_params: NetworkParams, verify_mean_s: float) -> float:
+    """PbftRound's adaptive view-change timeout (must match it exactly)."""
+    return 8.0 * verify_mean_s + 20.0 * network_params.base_delay
+
+
+class KernelBatch(NamedTuple):
+    """Per-committee results of one :func:`_pbft_kernel_batch` call."""
+
+    #: commit time at the committing view's primary, shape ``(K,)``
+    commit: np.ndarray
+    #: that primary's prepare-quorum time, shape ``(K,)``
+    prepared: np.ndarray
+    #: the committing view ``v`` (0 when the view-0 primary is honest)
+    views: np.ndarray
+    #: new-view times ``t_1 .. t_v``, shape ``(K, max v)``, NaN-padded
+    new_view: np.ndarray
+    #: when view ``v``'s timer fires: ``t_v + T * 2**v`` (``t_0 = 0``)
+    deadline: np.ndarray
+
+    def in_time(self) -> np.ndarray:
+        """Committees whose closed form holds: commit before view ``v`` times out.
+
+        Otherwise the DES would fire the next view change first, and the
+        cascade after that is not closed-form.
+        """
+        return np.isfinite(self.commit) & (self.commit < self.deadline)
+
+    def stage_times(self, k: int) -> Dict[str, float]:
+        """Committee ``k``'s ``PbftOutcome.stage_times``, in the DES's shape."""
+        view = int(self.views[k])
+        stages = {f"new-view-{j + 1}": float(self.new_view[k, j]) for j in range(view)}
+        stages["pre-prepare-sent"] = float(self.new_view[k, view - 1]) if view else 0.0
+        stages["prepare-quorum"] = float(self.prepared[k])
+        stages["commit-quorum"] = float(self.commit[k])
+        return stages
+
+
+def _lognormals(
+    u1: np.ndarray, u2: np.ndarray, out: np.ndarray, mu: float, sigma: float
+) -> None:
+    """``exp(mu + sigma * z)`` into ``out`` from uniform pairs ``(u1, u2)``.
+
+    Box-Muller gives exact standard normals ``z`` (even lanes from the
+    cosine, odd lanes from the sine), so the lags keep their DES
+    distribution.
+    """
+    radius = np.log1p(np.negative(u1))
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    theta = u2 * (2.0 * np.pi)
+    z0 = out[:, 0::2]
+    z1 = out[:, 1::2]
+    np.cos(theta, out=z0)
+    z0 *= radius
+    np.sin(theta, out=z1)
+    z1 *= radius
+    out *= sigma
+    out += mu
+    np.exp(out, out=out)
+
+
 def _pbft_kernel_batch(
     honest: np.ndarray,
     speeds: np.ndarray,
@@ -181,31 +275,48 @@ def _pbft_kernel_batch(
     network_params: NetworkParams,
     verify_mean_s: float,
     max_batch_bytes: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+    view_change_timeout_s: Optional[float] = None,
+) -> KernelBatch:
     """The order-statistics kernel over a ``(K, c)`` committee stack.
 
-    Returns ``(commit_time, prepared_primary)`` -- each shape ``(K,)`` --
-    for ``K`` independent loss-free honest-primary rounds.  The caller is
-    responsible for the pre-draw validity checks and for the post-draw
-    view-change-timeout fallback.
+    Covers ``K`` independent loss-free rounds whose honest count reaches
+    quorum; committees whose view-0 primary is Byzantine first run the
+    VIEW-CHANGE cascade (see the module docstring) up to their first
+    honest primary.  The caller is responsible for those pre-draw checks
+    and for the post-draw timeout fallback (:meth:`KernelBatch.in_time`).
 
     The only consumption from ``rng`` is one Philox key (two ``uint64``
-    words); committee ``k``'s variates live at absolute counter offset
-    ``k * S / 4`` of the keyed stream, so splitting the stack into chunks
-    of any size -- bounded by ``max_batch_bytes`` of live scratch --
-    reproduces identical bytes (see the module docstring).
+    words).  Committee ``k``'s normal case lives at counter offset
+    ``k * S / 4`` of the keyed stream; its VIEW-CHANGE round ``j`` lives
+    in a region after all ``K`` normal-case blocks, ranked among the
+    committees that need round ``j``.  Every block has a fixed offset, so
+    splitting the stack into chunks of any size -- bounded by
+    ``max_batch_bytes`` of live scratch -- reproduces identical bytes.
     """
     num_rounds, c = honest.shape
     f = (c - 1) // 3
-    nic, nic_free0, burst_s = _nic_geometry(c, 1.0 / network_params.bandwidth_msgs_per_s)
+    nic, burst_s = _nic_geometry(c, 1.0 / network_params.bandwidth_msgs_per_s)
+    if view_change_timeout_s is None:
+        view_change_timeout_s = view_change_timeout(network_params, verify_mean_s)
     mu = float(np.log(network_params.base_delay))
     sigma = network_params.jitter_sigma
     idx = np.arange(c)
-    nic_col0 = nic[:, 0]
+    nic_by_recipient = nic.T
+
+    # The committing view is the first honest seat: view v's primary is
+    # members[v % c], and a Byzantine primary stays silent until its view
+    # times out.  Quorum guarantees an honest seat below c.
+    views = np.argmax(honest, axis=1)
+    max_view = int(views.max(initial=0))
 
     key = philox_key(rng)
     total_u, n_exp, n_norm = _kernel_draw_budget(c)
     n_norm_u = n_norm + (n_norm & 1)
+    vc_u = _view_change_draw_budget(c)
+    # VIEW-CHANGE blocks follow the K normal-case blocks: round-major,
+    # then in committee order over the committees that need the round.
+    needs = views[None, :] >= np.arange(1, max_view + 1)[:, None]
+    vc_block = np.cumsum(needs).reshape(needs.shape) - 1
     rows = min(num_rounds, kernel_chunk_rows(c, max_batch_bytes))
 
     # Chunk-reused scratch: the uniform lattice, the normal block, and the
@@ -217,26 +328,53 @@ def _pbft_kernel_batch(
 
     commit_out = np.empty(num_rounds)
     prepared_out = np.empty(num_rounds)
+    deadline_out = np.empty(num_rounds)
+    new_view_out = np.full((num_rounds, max_view), np.nan)
     for start in range(0, num_rounds, rows):
         b = min(rows, num_rounds - start)
+        honest_b = honest[start : start + b]
+        view_b = views[start : start + b]
+        t_view = np.zeros(b)  # t_v: when the committing view starts
+        nic_busy = np.zeros(b)  # honest NICs drain their last VIEW-CHANGE burst
+        timer = np.full(b, view_change_timeout_s)  # the current view's timeout
+
+        # VIEW-CHANGE rounds: at the timeout every honest replica
+        # broadcasts; a vote counts at its first delivery to an honest
+        # replica, and the new view starts at the (2f+1)-th voter.
+        for j in range(1, int(view_b.max(initial=0)) + 1):
+            sel = np.flatnonzero(view_b >= j)
+            n = sel.size
+            lattice = uniforms.reshape(-1)[: n * vc_u]
+            offset = num_rounds * total_u + int(vc_block[j - 1, start + sel[0]]) * vc_u
+            counter_rng(key, offset // 4).random(out=lattice)
+            lattice = lattice.reshape(n, vc_u)
+            lag = normals.reshape(-1)[: n * vc_u].reshape(n, vc_u)
+            _lognormals(lattice[:, 0::2], lattice[:, 1::2], lag, mu, sigma)
+            send = np.maximum(timer[sel], nic_busy[sel])
+            delivered = votes[:n]
+            np.add(lag[:, : c * c].reshape(n, c, c), nic[None, :, :], out=delivered)
+            delivered += send[:, None, None]
+            delivered[:, idx, idx] = np.inf
+            honest_sel = honest_b[sel]
+            np.copyto(delivered, np.inf, where=~honest_sel[:, None, :])
+            first = delivered.min(axis=2)
+            first[~honest_sel] = np.inf
+            first.partition(2 * f, axis=1)
+            started = first[:, 2 * f]
+            new_view_out[start + sel, j - 1] = started
+            t_view[sel] = started
+            nic_busy[sel] = send + burst_s
+            timer[sel] = started + view_change_timeout_s * 2.0**j
+
         counter_rng(key, start * (total_u // 4)).random(out=uniforms[:b].reshape(-1))
         u = uniforms[:b]
+        # Lognormal lags: one pass over the whole normal block; lag_pre /
+        # lag1 / lag2-primary-column are views.
         z = normals[:b]
-
-        # Box-Muller over the normal lattice (exact standard normals, so
-        # the lognormal lags keep their DES distribution).
-        u1 = u[:, n_exp : n_exp + n_norm_u : 2]
-        u2 = u[:, n_exp + 1 : n_exp + n_norm_u : 2]
-        radius = np.log1p(np.negative(u1))
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        theta = u2 * (2.0 * np.pi)
-        z0 = z[:, 0::2]
-        z1 = z[:, 1::2]
-        np.cos(theta, out=z0)
-        z0 *= radius
-        np.sin(theta, out=z1)
-        z1 *= radius
+        normal_u = u[:, n_exp : n_exp + n_norm_u]
+        _lognormals(normal_u[:, 0::2], normal_u[:, 1::2], z, mu, sigma)
+        lag_pre = z[:, :c]
+        lag2_col = z[:, c + c * c : c + c * c + c]
 
         # Verify delays: one inverse-CDF pass over both exponential lanes.
         expo = np.log1p(np.negative(u[:, :n_exp]))
@@ -246,25 +384,22 @@ def _pbft_kernel_batch(
         verify2 = expo[:, c : 2 * c]
         verify2 *= neg_scale
 
-        # Lognormal lags: one exp(mu + sigma * z) pass over the whole
-        # normal block; lag_pre / lag1 / lag2-primary-column are views.
-        z *= sigma
-        z += mu
-        np.exp(z, out=z)
-        lag_pre = z[:, :c]
-        lag2_col = z[:, c + c * c : c + c * c + c]
-
-        honest_b = honest[start : start + b]
-
-        # Pre-prepare arrivals (the primary pre-prepares itself at t=0).
+        # Pre-prepare arrivals: the primary (seat p = v) broadcasts once
+        # its NIC is free at t_v and pre-prepares itself at t_v.
+        row = np.arange(b)
+        preprepare_at = np.maximum(t_view, nic_busy)
         arrival = lag_pre
-        arrival += nic[0][None, :]
-        arrival[:, 0] = 0.0
+        arrival += nic[view_b]
+        arrival += preprepare_at[:, None]
+        arrival[row, view_b] = t_view
+        nic_free = np.repeat(nic_busy[:, None], c, axis=1)
+        nic_free[row, view_b] = preprepare_at + burst_s
 
-        # Prepare votes: sent after one verify delay; the primary's NIC is
-        # still draining the pre-prepare burst.
+        # Prepare votes: sent after one verify delay, once the sender's
+        # NIC has drained (the primary's pre-prepare burst, everyone's
+        # VIEW-CHANGE burst).
         prep_send = arrival + verify1
-        depart1 = np.maximum(prep_send, nic_free0[None, :])
+        depart1 = np.maximum(prep_send, nic_free)
         votes_b = votes[:b]
         np.add(z[:, c : c + c * c].reshape(b, c, c), nic[None, :, :], out=votes_b)
         votes_b += depart1[:, :, None]
@@ -296,22 +431,46 @@ def _pbft_kernel_batch(
         commit_first = commit_send < prep_send
         depart2 = np.where(
             commit_first,
-            np.maximum(commit_send, nic_free0[None, :]),
+            np.maximum(commit_send, nic_free),
             np.maximum(commit_send, depart1 + burst_s),
         )
-        votes2_primary = depart2 + nic_col0[None, :]
+        votes2_primary = depart2 + nic_by_recipient[view_b]
         votes2_primary += lag2_col
-        votes2_primary[:, 0] = commit_send[:, 0]
+        votes2_primary[row, view_b] = commit_send[row, view_b]
         votes2_primary[~honest_b] = np.inf
         votes2_primary.partition(2 * f, axis=1)
         commit_out[start : start + b] = votes2_primary[:, 2 * f]
-        prepared_out[start : start + b] = prepared[:, 0]
-    return commit_out, prepared_out
+        prepared_out[start : start + b] = prepared[row, view_b]
+        deadline_out[start : start + b] = timer
+    return KernelBatch(commit_out, prepared_out, views, new_view_out, deadline_out)
 
 
-def view_change_timeout(network_params: NetworkParams, verify_mean_s: float) -> float:
-    """PbftRound's adaptive view-change timeout (must match it exactly)."""
-    return 8.0 * verify_mean_s + 20.0 * network_params.base_delay
+def emit_kernel_round(
+    telemetry: NullTelemetry, round_tag: str, batch: KernelBatch, k: int, members: int
+) -> None:
+    """The DES's telemetry for committee ``k`` of a kernel batch.
+
+    One ``chain.pbft.view_change`` event per view change, then the
+    ``chain.pbft.round`` span on sim time -- the records
+    :class:`repro.chain.pbft.PbftRound` emits for the same round.
+    """
+    if not telemetry.enabled:
+        return
+    view = int(batch.views[k])
+    for j in range(view):
+        telemetry.event(
+            "chain.pbft.view_change", tag=round_tag, view=j + 1, at=float(batch.new_view[k, j])
+        )
+    commit_time = float(batch.commit[k])
+    telemetry.record_span(
+        "chain.pbft.round",
+        0.0,
+        commit_time,
+        tag=round_tag,
+        view=view,
+        members=members,
+        stages=batch.stage_times(k),
+    )
 
 
 def _closed_form_pbft(
@@ -332,51 +491,37 @@ def _closed_form_pbft(
     if c < 4:
         raise ValueError("PBFT needs at least 4 members (3f+1, f >= 1)")
     f = (c - 1) // 3
-    if view_change_timeout_s is None:
-        view_change_timeout_s = view_change_timeout(network_params, verify_mean_s)
     # Validity checks that consume no randomness -- a fallback from here
     # replays the DES from the identical stream position.
     if network_params.loss_probability > 0.0:
         return None, "lossy-network"
     honest = np.array([node.honest for node in members], dtype=bool)
-    if not honest[0]:
-        return None, "byzantine-primary"
     if int(honest.sum()) < 2 * f + 1:
         return None, "no-quorum"
 
     speeds = np.array([node.verify_speed for node in members])
-    commit_times, prepared_primary = _pbft_kernel_batch(
-        honest[None, :], speeds[None, :], rng, network_params, verify_mean_s
+    batch = _pbft_kernel_batch(
+        honest[None, :],
+        speeds[None, :],
+        rng,
+        network_params,
+        verify_mean_s,
+        view_change_timeout_s=view_change_timeout_s,
     )
-    commit_time = float(commit_times[0])
-
-    if not np.isfinite(commit_time) or commit_time >= view_change_timeout_s:
-        # The DES would fire the view-change timer before this commit;
-        # the cascade after that is not closed-form.  (The kernel's key
-        # draw is already consumed, so this fallback is distributional
-        # only.)
+    if not batch.in_time()[0]:
+        # The DES would fire the next view change before this commit.
+        # (The kernel's key draw is already consumed, so this fallback is
+        # distributional only.)
         return None, "view-change-timeout"
 
+    commit_time = float(batch.commit[0])
     outcome = PbftOutcome(
         committed=True,
         start_time=0.0,
         commit_time=commit_time,
-        stage_times={
-            "pre-prepare-sent": 0.0,
-            "prepare-quorum": float(prepared_primary[0]),
-            "commit-quorum": commit_time,
-        },
+        stage_times=batch.stage_times(0),
     )
-    if telemetry.enabled:
-        telemetry.record_span(
-            "chain.pbft.round",
-            0.0,
-            commit_time,
-            tag=round_tag,
-            view=0,
-            members=c,
-            stages=dict(outcome.stage_times),
-        )
+    emit_kernel_round(telemetry, round_tag, batch, 0, c)
     return outcome, ""
 
 

@@ -67,9 +67,10 @@ class ChainParams:
         Execution engine for the chain substrate: ``"des"`` runs the
         reference discrete-event simulation; ``"fastpath"`` computes round
         latencies in closed form via :mod:`repro.chain.fastpath` (numpy
-        order statistics), falling back to the DES per committee whenever
-        the closed form is invalid (Byzantine primary, lossy network,
-        view-change possible).
+        order statistics, view changes after Byzantine primaries
+        included), falling back to the DES per committee whenever the
+        closed form is invalid (lossy network, no quorum, a commit at the
+        view's timeout).
     max_batch_bytes:
         Scratch-byte budget for the chunked fastpath kernels (PBFT batch
         and formation).  Each batched kernel call splits its committee or

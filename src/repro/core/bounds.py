@@ -32,12 +32,15 @@ def fractional_knapsack_bound(instance: EpochInstance) -> float:
     capacity = float(instance.capacity)
     for position in order:
         value = values[position]
-        if value <= 0:
-            break
         weight = weights[position]
         if weight <= 0:
-            bound += value  # weightless positive item: always take
+            # Weightless items sort first (density +inf) whatever their
+            # sign: take the positive ones, skip the rest.
+            if value > 0:
+                bound += value
             continue
+        if value <= 0:
+            break
         if weight <= capacity:
             bound += value
             capacity -= weight

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.harness.presets import FigurePreset
-from repro.harness.report import RESULTS_DIR
+from repro.harness import report
 
 
 class _ArtifactEncoder(json.JSONEncoder):
@@ -82,7 +82,7 @@ def write_artifact(
     clock: Optional[Clock] = None,
 ) -> str:
     """Persist ``result`` + manifest as ``results/<name>.json``; returns the path."""
-    directory = results_dir or RESULTS_DIR
+    directory = results_dir or report.RESULTS_DIR
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{name}.json")
     payload = {"experiment": name, "manifest": build_manifest(preset, clock=clock), "result": result}

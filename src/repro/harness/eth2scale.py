@@ -56,8 +56,10 @@ def run_eth2scale(
     why the order matters to ``ru_maxrss``).  The final committee runs the
     real SE scheduler (``engine="auto"``) and its solve wall is split out
     of the epoch wall, so the record separates chain-substrate time from
-    scheduler time.  Returns the record dict that also lands in
-    ``out_path`` when given.
+    scheduler time.  Each point also counts the stage-3 committees the
+    reference DES replayed, by reason (a machine-independent gate: on a
+    loss-free network only ``view-change-timeout`` can occur).  Returns
+    the record dict that also lands in ``out_path`` when given.
     """
     sizes = tuple(
         int(n) for n in (network_sizes or _PRESET.extras["network_sizes"])
@@ -127,6 +129,7 @@ def run_eth2scale(
                 "se_solves": se_wall["solves"],
                 "peak_rss_kib": sample["peak_rss_kib"] if sample else None,
                 "kernel_chunk_rows": kernel_chunk_rows(c, budget),
+                "des_replays": dict(sorted(outcome.des_replays.items())),
             }
         )
 
@@ -151,7 +154,7 @@ def render_points(points: Sequence[dict]) -> str:
     """Fixed-width text table of the scaling curve (for the CLI)."""
     header = (
         f"{'nodes':>8} {'formed':>7} {'submitted':>9} {'permitted':>9} "
-        f"{'epoch wall':>11} {'SE wall':>9} {'peak RSS':>10}"
+        f"{'epoch wall':>11} {'SE wall':>9} {'peak RSS':>10} {'DES replays':>11}"
     )
     lines = [header]
     for point in points:
@@ -161,7 +164,7 @@ def render_points(points: Sequence[dict]) -> str:
             f"{point['nodes']:>8} {point['committees_formed']:>7} "
             f"{point['shards_submitted']:>9} {point['shards_permitted']:>9} "
             f"{point['epoch_wall_s']:>10.2f}s {point['se_wall_s']:>8.2f}s "
-            f"{rss_text:>10}"
+            f"{rss_text:>10} {sum(point['des_replays'].values()):>11}"
         )
     return "\n".join(lines)
 

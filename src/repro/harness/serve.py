@@ -140,12 +140,15 @@ class ServeReport:
     mean_wall_to_99_s: float
     final_utility: float
     slo_violations: List[dict] = field(default_factory=list)
+    #: False when a disabled hub (``NULL_TELEMETRY``) ran the loop: no
+    #: metric or SLO sink was attached, so no SLO was evaluated.
+    slo_checked: bool = True
     #: Full per-epoch results, only when ``collect_results`` was requested
     #: (utility traces feed the warm-vs-cold comparison); never serialised.
     results: List[SEResult] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
+        payload = {
             "mode": "warm" if self.config.warm else "cold",
             "epochs": self.config.epochs,
             "gamma": self.config.gamma,
@@ -163,6 +166,9 @@ class ServeReport:
             "slo_violations": self.slo_violations,
             "rows": [row.to_json() for row in self.rows],
         }
+        if not self.slo_checked:
+            payload["slo_checked"] = False
+        return payload
 
 
 def time_to_99(result: SEResult, wall_s: float) -> float:
@@ -216,20 +222,26 @@ def run_serve(
     """Run the steady-state service loop and aggregate its SLIs.
 
     ``telemetry`` defaults to the harness's standard hub (ring buffer +
-    optional JSONL at ``config.trace_path``) with the PR 7 aggregation and
-    SLO stack attached as live sinks.  ``collect_results`` keeps every
-    epoch's full :class:`SEResult` on the report (utility traces for the
-    warm-vs-cold convergence comparison); off by default so long serve
-    runs don't accumulate per-round arrays.
+    optional JSONL at ``config.trace_path``) with the aggregation and SLO
+    stack attached as live sinks.  A disabled hub (``NULL_TELEMETRY``)
+    serves every epoch with those sinks skipped: the report then carries
+    ``slo_checked=False``, no SLO violations, and the configured engine
+    label (the ``engine.auto`` resolution is only observable as an
+    event).  ``collect_results`` keeps every epoch's full
+    :class:`SEResult` on the report (utility traces for the warm-vs-cold
+    convergence comparison); off by default so long serve runs don't
+    accumulate per-round arrays.
     """
     if telemetry is None:
         telemetry = build_telemetry(config.trace_path)
     engine_choice = _EngineChoiceSink()
-    telemetry.add_sink(engine_choice)
-    aggregator = MetricsAggregator()
-    telemetry.add_sink(aggregator)
-    tracker = SloTracker(load_slo_specs(), aggregator, telemetry=telemetry)
-    telemetry.add_sink(tracker)
+    tracker: Optional[SloTracker] = None
+    if telemetry.enabled:
+        telemetry.add_sink(engine_choice)
+        aggregator = MetricsAggregator()
+        telemetry.add_sink(aggregator)
+        tracker = SloTracker(load_slo_specs(), aggregator, telemetry=telemetry)
+        telemetry.add_sink(tracker)
 
     stream = EpochStream(config.stream_config())
     warm_solver = StochasticExploration(config.solver_config(0), telemetry)
@@ -293,7 +305,7 @@ def run_serve(
             )
         )
 
-    violations = tracker.check()
+    violations = tracker.check() if tracker is not None else []
     wall = max(total_wall, 1e-9)
     return ServeReport(
         config=config,
@@ -305,6 +317,7 @@ def run_serve(
         mean_wall_to_99_s=float(np.mean([row.wall_to_99_s for row in rows])),
         final_utility=rows[-1].utility,
         slo_violations=violations,
+        slo_checked=tracker is not None,
         results=results,
     )
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+from pathlib import Path
+from typing import Optional
+
 import numpy as np
 import pytest
 
@@ -54,3 +58,34 @@ def random_instance(
         capacity = int(tx_counts.sum() * 0.6)
     config = MVComConfig(alpha=alpha, capacity=capacity)
     return EpochInstance(tx_counts=tx_counts, latencies=latencies, config=config)
+
+
+# --------------------------------------------------------------------- #
+# hermeticity: the suite must not write into tracked files
+# --------------------------------------------------------------------- #
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: ``git status`` of the tracked files, taken when the session starts.
+TRACKED_STATE = pytest.StashKey[Optional[str]]()
+
+
+def tracked_state() -> Optional[str]:
+    """``git status --porcelain`` restricted to tracked files, or ``None``
+    outside a git checkout (or without git)."""
+    try:
+        return subprocess.run(
+            ["git", "-C", str(REPO_ROOT), "status", "--porcelain", "--untracked-files=no"],
+            capture_output=True, check=True, text=True,
+        ).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def pytest_sessionstart(session):
+    session.config.stash[TRACKED_STATE] = tracked_state()
+
+
+def pytest_collection_modifyitems(config, items):
+    """Run the hermeticity guard after every other test."""
+    items.sort(key=lambda item: item.get_closest_marker("hermeticity_guard") is not None)
+

@@ -35,21 +35,27 @@ from repro.obs.telemetry import Telemetry
 from repro.sim.rng import spawn_rng
 
 
-def _committee_stack(num_committees, size, seed=0):
+def _committee_stack(num_committees, size, seed=0, view_changes=False):
     rng = spawn_rng(seed, "stack")
     honest = rng.random((num_committees, size)) > 0.1
-    honest[:, 0] = True  # eligible committees have an honest primary
+    honest[:, 0] = True  # an honest view-0 primary: no view change
+    if view_changes:
+        # Byzantine primaries at views 0 (every 2nd) and 1 (every 3rd);
+        # the rest of the committee is honest, so quorum always holds.
+        honest[:, :] = True
+        honest[::2, 0] = False
+        honest[::3, 1] = False
     speeds = 0.5 + rng.random((num_committees, size))
     return honest, speeds
 
 
 def _run_kernel(honest, speeds, max_batch_bytes):
     rng = spawn_rng(7, "round")
-    commit, prepared = _pbft_kernel_batch(
+    batch = _pbft_kernel_batch(
         honest, speeds, rng, NetworkParams(), 22.0, max_batch_bytes=max_batch_bytes
     )
     # The end-state probe: chunking must not move the caller's stream.
-    return commit, prepared, rng.random()
+    return batch, rng.random()
 
 
 class TestChunkedKernelByteIdentity:
@@ -61,9 +67,22 @@ class TestChunkedKernelByteIdentity:
         assert kernel_chunk_rows(8, budget) == chunk_rows
         base = _run_kernel(honest, speeds, None)
         chunked = _run_kernel(honest, speeds, budget)
-        np.testing.assert_array_equal(chunked[0], base[0])
-        np.testing.assert_array_equal(chunked[1], base[1])
-        assert chunked[2] == base[2]
+        np.testing.assert_array_equal(chunked[0].commit, base[0].commit)
+        np.testing.assert_array_equal(chunked[0].prepared, base[0].prepared)
+        assert chunked[1] == base[1]
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 5, 13, 64])
+    def test_view_change_kernel_chunking_is_byte_identical(self, chunk_rows):
+        """Byzantine-primary committees (views 1 and 2) in the same stack:
+        the VIEW-CHANGE rounds replay the unchunked bytes at any chunk size."""
+        honest, speeds = _committee_stack(13, 8, view_changes=True)
+        budget = chunk_rows * kernel_bytes_per_committee(8)
+        base, base_probe = _run_kernel(honest, speeds, None)
+        chunked, probe = _run_kernel(honest, speeds, budget)
+        assert set(base.views.tolist()) == {0, 1, 2}
+        for field in base._fields:
+            np.testing.assert_array_equal(getattr(chunked, field), getattr(base, field))
+        assert probe == base_probe
 
     def test_formation_kernel_chunking_is_byte_identical(self):
         from repro.chain.node import spawn_nodes

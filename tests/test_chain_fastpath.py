@@ -4,10 +4,11 @@ The DES in repro.chain.pbft/network is the reference executable spec; the
 fastpath must be
 
 * **byte-identical** where no approximation exists: formation (stages
-  1-2), pre-draw fallbacks (Byzantine primary, lossy network), and the
-  DES itself after the RNG-buffer / address-scheme changes;
+  1-2), the pre-draw lossy-network fallback, and the DES itself after the
+  RNG-buffer / address-scheme changes;
 * **distributionally indistinguishable** where the PBFT kernel block-draws
-  its randomness: per-committee-size two-sample KS at alpha=0.01;
+  its randomness: per-committee-size two-sample KS at alpha=0.01, for
+  honest view-0 primaries and for Byzantine ones (view-change cascade);
 * **PYTHONHASHSEED-independent** end to end (lint rule MV009's contract),
   checked in a subprocess.
 """
@@ -24,6 +25,7 @@ import pytest
 from repro.chain.elastico import ElasticoSimulation
 from repro.chain.fastpath import (
     formation_kernel,
+    view_change_timeout,
     pbft_round_closed_form,
     run_pbft,
     run_pbft_round_fast,
@@ -42,12 +44,19 @@ from repro.sim.rng import spawn_rng
 VERIFY_MEAN_S = 22.0
 
 
-def des_commit_times(size, seeds, byzantine_fraction=0.0):
+def _members(size, seed, byzantine_fraction=0.0, byzantine_seats=()):
+    members = spawn_nodes(
+        count=size, byzantine_fraction=byzantine_fraction, rng=spawn_rng(seed, "members")
+    )
+    for seat in byzantine_seats:
+        members[seat].honest = False
+    return members
+
+
+def des_commit_times(size, seeds, byzantine_fraction=0.0, byzantine_seats=()):
     times = []
     for seed in seeds:
-        members = spawn_nodes(
-            count=size, byzantine_fraction=byzantine_fraction, rng=spawn_rng(seed, "members")
-        )
+        members = _members(size, seed, byzantine_fraction, byzantine_seats)
         outcome = run_pbft_round(
             members=members,
             rng=spawn_rng(seed, "round"),
@@ -59,12 +68,10 @@ def des_commit_times(size, seeds, byzantine_fraction=0.0):
     return times
 
 
-def fastpath_commit_times(size, seeds, byzantine_fraction=0.0):
+def fastpath_commit_times(size, seeds, byzantine_fraction=0.0, byzantine_seats=()):
     times = []
     for seed in seeds:
-        members = spawn_nodes(
-            count=size, byzantine_fraction=byzantine_fraction, rng=spawn_rng(seed, "members")
-        )
+        members = _members(size, seed, byzantine_fraction, byzantine_seats)
         outcome = run_pbft_round_fast(
             members=members,
             rng=spawn_rng(seed, "round"),
@@ -110,29 +117,111 @@ class TestKernelDistribution:
         assert outcome.latency == stages["commit-quorum"]
 
 
-class TestFallbacks:
-    def test_byzantine_primary_falls_back_byte_identical(self):
-        """The Byzantine-primary check consumes no randomness, so the
-        fallback replays the DES from the identical stream position."""
-        seed = 7
-        members = spawn_nodes(count=8, byzantine_fraction=0.4, rng=spawn_rng(seed, "members"))
-        members[0].honest = False  # force a Byzantine view-0 primary
-        reference = run_pbft_round(
-            members=members,
-            rng=spawn_rng(seed, "round"),
-            network_params=NetworkParams(),
-            verify_mean_s=VERIFY_MEAN_S,
-        )
-        fast = run_pbft_round_fast(
-            members=members,
-            rng=spawn_rng(seed, "round"),
-            network_params=NetworkParams(),
-            verify_mean_s=VERIFY_MEAN_S,
-        )
-        assert fast.committed == reference.committed
-        assert fast.commit_time == reference.commit_time
-        assert fast.stage_times == reference.stage_times
+class TestViewChangeKernel:
+    """Committees whose view-0 primary is Byzantine run the kernel's
+    VIEW-CHANGE cascade instead of a DES replay; the DES stays the
+    reference, so the commit latency must be KS-indistinguishable."""
 
+    @pytest.mark.parametrize(
+        "size,seats,trials",
+        [(4, (0,), 200), (8, (0,), 150), (16, (0,), 80), (8, (0, 1), 150)],
+        ids=["4-view1", "8-view1", "16-view1", "8-view2"],
+    )
+    def test_ks_non_rejection_view_change(self, size, seats, trials):
+        des = des_commit_times(size, range(trials), byzantine_seats=seats)
+        fast = fastpath_commit_times(
+            size, range(30_000, 30_000 + trials), byzantine_seats=seats
+        )
+        assert len(des) == trials and len(fast) == trials
+        # Every round sits behind at least one view-change timeout.
+        timeout = view_change_timeout(NetworkParams(), VERIFY_MEAN_S)
+        assert min(des) > timeout and min(fast) > timeout
+        d_stat = ks_statistic(des, fast)
+        assert d_stat < ks_critical_value(len(des), len(fast), alpha=0.01)
+
+    def test_stage_times_ordered_and_shaped_like_the_des(self):
+        members = _members(8, 4, byzantine_seats=(0, 1))
+        outcome = pbft_round_closed_form(
+            members, spawn_rng(4, "round"), NetworkParams(), VERIFY_MEAN_S
+        )
+        reference = run_pbft_round(
+            members=members, rng=spawn_rng(4, "round"),
+            network_params=NetworkParams(), verify_mean_s=VERIFY_MEAN_S,
+        )
+        assert outcome is not None and outcome.committed
+        stages = outcome.stage_times
+        assert list(stages) == list(reference.stage_times) == [
+            "new-view-1", "new-view-2", "pre-prepare-sent", "prepare-quorum", "commit-quorum",
+        ]
+        timeout = view_change_timeout(NetworkParams(), VERIFY_MEAN_S)
+        assert timeout < stages["new-view-1"] < stages["new-view-2"]
+        assert stages["new-view-2"] - stages["new-view-1"] > 2 * timeout  # doubled timer
+        assert stages["pre-prepare-sent"] == stages["new-view-2"]
+        assert stages["pre-prepare-sent"] <= stages["prepare-quorum"] <= stages["commit-quorum"]
+        assert outcome.latency == stages["commit-quorum"]
+
+    def test_telemetry_matches_the_des_records(self):
+        """The kernel emits the DES's records: one view_change event per
+        view and the round span at the committing view."""
+
+        def records(runner):
+            ring = RingBufferSink(4096)
+            runner(
+                members=_members(8, 6, byzantine_seats=(0, 1)),
+                rng=spawn_rng(6, "round"),
+                network_params=NetworkParams(),
+                verify_mean_s=VERIFY_MEAN_S,
+                round_tag="vc",
+                telemetry=Telemetry(sinks=[ring]),
+            )
+            return [r for r in ring.records if r.get("name", "").startswith("chain.")]
+
+        fast, des = records(run_pbft_round_fast), records(run_pbft_round)
+        assert [r["name"] for r in fast] == [r["name"] for r in des] == [
+            "chain.pbft.view_change", "chain.pbft.view_change", "chain.pbft.round",
+        ]
+        for kernel_record, des_record in zip(fast, des):
+            assert set(kernel_record) == set(des_record)
+        assert [(r["tag"], r["view"]) for r in fast[:2]] == [("vc", 1), ("vc", 2)]
+        assert fast[2]["view"] == 2
+        assert fast[0]["at"] == fast[2]["stages"]["new-view-1"]
+
+    def test_epoch_replays_only_for_documented_reasons(self):
+        """A whole epoch with Byzantine primaries replays nothing for
+        them: fallback events only carry the three remaining reasons."""
+        ring = RingBufferSink(1 << 16)
+        params = ChainParams(
+            num_nodes=960, committee_size=8, seed=5, byzantine_fraction=0.3,
+            chain_engine="fastpath",
+        )
+        sim = ElasticoSimulation(params, telemetry=Telemetry(sinks=[ring]))
+        committees = sim.form_committees(sim.streams.fork("epoch-0").get("epoch"))
+        from repro.chain.committee import run_intra_consensus_batch
+
+        run_intra_consensus_batch(committees, params, spawn_rng(5, "stage3"), telemetry=sim.telemetry)
+        view_changed = [
+            c for c in committees
+            if c.can_reach_quorum and not c.leader.honest and c.des_replay is None
+        ]
+        assert view_changed, "the seed must exercise Byzantine view-0 primaries"
+        spans = {
+            r["tag"]: r for r in ring.records
+            if r.get("type") == "span" and r.get("name") == "chain.pbft.round"
+        }
+        for committee in view_changed:
+            span = spans[f"epoch{committee.epoch}-committee{committee.committee_id}"]
+            assert span["view"] >= 1
+            assert "new-view-1" in span["stages"]
+        reasons = {
+            r["reason"] for r in ring.records if r.get("name") == "chain.fastpath.fallback"
+        }
+        assert reasons <= {"lossy-network", "no-quorum", "view-change-timeout"}
+        assert all(
+            c.des_replay in (None, "view-change-timeout") for c in committees
+        )
+
+
+class TestFallbacks:
     def test_lossy_network_falls_back_byte_identical(self):
         seed = 11
         net = NetworkParams(loss_probability=0.05)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness import report
 from repro.harness.cli import RUNNERS, main
 
 
@@ -24,8 +25,11 @@ def test_invalid_experiment_rejected():
         main(["fig99"])
 
 
-def test_theory_failure_end_to_end(capsys):
+def test_theory_failure_end_to_end(capsys, monkeypatch, tmp_path):
+    # Artifacts go to a scratch directory, never the tracked results/.
+    monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
     assert main(["theory_failure"]) == 0
     output = capsys.readouterr().out
     assert "tv_distance" in output
     assert "finished in" in output
+    assert (tmp_path / "theory_failure.json").is_file()

@@ -37,6 +37,30 @@ class TestAgainstExact:
         assert bound <= 1.1 * optimum  # one fractional item of slack
 
 
+class TestZeroWeightShards:
+    def test_zero_tx_negative_value_shard_does_not_zero_the_bound(self):
+        """A zero-tx shard with negative value (it arrived early, so its
+        age cost is positive) has density +inf and sorts first; it must
+        be skipped, not end the scan with a bound of 0."""
+        config = MVComConfig(alpha=1.5, capacity=500, n_min_fraction=0.0)
+        instance = EpochInstance([0, 300, 200, 400], [1.0, 60.0, 50.0, 40.0], config)
+        assert instance.values[0] < 0
+        optimum = brute_force_optimum(instance).utility
+        bound = fractional_knapsack_bound(instance)
+        assert bound > 0
+        assert bound >= optimum - 1e-6
+        assert lagrangian_bound(instance) == pytest.approx(bound, rel=1e-9)
+
+    def test_zero_tx_zero_value_shard_is_skipped(self):
+        """The slowest shard sets the deadline, so with zero TXs its value
+        is exactly 0: weightless and worthless, it must not stop the scan."""
+        config = MVComConfig(alpha=1.5, capacity=500, n_min_fraction=0.0)
+        instance = EpochInstance([300, 0, 200], [40.0, 70.0, 50.0], config)
+        assert instance.values[1] == 0.0
+        optimum = brute_force_optimum(instance).utility
+        assert fractional_knapsack_bound(instance) >= optimum - 1e-6 > 0
+
+
 class TestCertify:
     def test_certificate_on_trace_workload(self):
         """SE at paper scale certifies within a few percent of optimal."""

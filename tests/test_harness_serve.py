@@ -28,7 +28,7 @@ from repro.harness.serve import (
     time_to_99,
 )
 from repro.obs.sinks import RingBufferSink
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 
 SMALL = dict(
     epochs=3,
@@ -108,6 +108,16 @@ class TestWarmServe:
         assert [r["epoch"] for r in epochs] == list(range(SMALL["epochs"]))
         assert all(r["warm"] for r in epochs)
         assert len(report.rows) == SMALL["epochs"]
+
+    def test_null_telemetry_serves_every_epoch_without_sinks(self):
+        """A disabled hub runs the same loop with the metric and SLO
+        sinks skipped, and says so in the report."""
+        quiet = run_serve(ServeConfig(**SMALL), telemetry=NULL_TELEMETRY)
+        default = run_serve(ServeConfig(**SMALL))
+        assert [row.utility for row in quiet.rows] == [row.utility for row in default.rows]
+        assert not quiet.slo_checked and quiet.slo_violations == []
+        assert quiet.to_json()["slo_checked"] is False
+        assert default.slo_checked and "slo_checked" not in default.to_json()
 
     def test_warm_is_reproducible(self):
         first = run_serve(ServeConfig(**SMALL))
