@@ -3,9 +3,12 @@
 Two halves, one goal — machine-checked determinism and constraint safety:
 
 * :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — an AST lint
-  pass (rules MV001-MV009) enforcing the named-RNG-stream discipline, the
-  no-wall-clock rule and the paper-contract documentation convention.
-  Run it as ``python -m repro.analysis src/`` or ``mvcom lint src/``.
+  pass (per-file rules MV001-MV009) enforcing the named-RNG-stream
+  discipline, the no-wall-clock rule and the paper-contract documentation
+  convention — plus :mod:`repro.analysis.rules_graph`, the whole-program
+  MV101-MV104 passes over :mod:`repro.analysis.graph`.  Run it as
+  ``python -m repro.analysis src/`` or ``mvcom lint src/``; findings are
+  suppressed only inline, with ``# repro: ignore[MVxxx]``.
 * :mod:`repro.analysis.contracts` — opt-in runtime assertions
   (``REPRO_CONTRACTS=1``) that solver results satisfy const. (3)-(4).
 

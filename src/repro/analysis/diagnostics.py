@@ -58,3 +58,15 @@ def render_report(diagnostics: Sequence[Diagnostic]) -> str:
     warnings = len(diagnostics) - errors
     lines.append(f"{errors} error(s), {warnings} warning(s)")
     return "\n".join(lines)
+
+
+def normalize_path(path: str) -> str:
+    """Posix separators, minus a leading ``./`` (``./a/b.py`` -> ``a/b.py``).
+
+    Only the literal ``./`` prefix goes: ``../x.py`` and ``.hidden/x.py``
+    keep their dots, so a normalised path still names the same file.
+    """
+    path = path.replace("\\", "/")
+    while path.startswith("./"):
+        path = path[2:]
+    return path

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Type
 
 from repro.analysis.config import AnalysisConfig, load_config
-from repro.analysis.diagnostics import Diagnostic, Severity, sort_diagnostics
+from repro.analysis.diagnostics import Diagnostic, Severity, normalize_path, sort_diagnostics
 
 
 @dataclass(frozen=True)
@@ -144,11 +144,11 @@ def _apply_pragmas(
     """Drop diagnostics whose (path, line) carries a matching pragma."""
     by_path: Dict[str, Dict[int, Set[str]]] = {}
     for path, source in sources.items():
-        normalized = path.replace(os.sep, "/").lstrip("./")
+        normalized = normalize_path(path)
         by_path[normalized] = pragma_suppressions(source)
     kept: List[Diagnostic] = []
     for diagnostic in diagnostics:
-        normalized = diagnostic.path.replace(os.sep, "/").lstrip("./")
+        normalized = normalize_path(diagnostic.path)
         suppressed = by_path.get(normalized, {}).get(diagnostic.line, set())
         if diagnostic.rule_id in suppressed:
             continue
@@ -186,7 +186,7 @@ class LintEngine:
         diagnostics: List[Diagnostic] = []
         sources: Dict[str, str] = {}
         for path in _walk_python_files(paths):
-            normalized = path.replace(os.sep, "/").lstrip("./")
+            normalized = normalize_path(path)
             if self.config.path_ignored(normalized):
                 continue
             with open(path, "r", encoding="utf-8") as handle:
@@ -198,7 +198,7 @@ class LintEngine:
 
     def lint_file(self, path: str) -> List[Diagnostic]:
         """Lint one file on disk (per-file rules only)."""
-        normalized = path.replace(os.sep, "/").lstrip("./")
+        normalized = normalize_path(path)
         if self.config.path_ignored(normalized):
             return []
         with open(path, "r", encoding="utf-8") as handle:
@@ -212,7 +212,7 @@ class LintEngine:
         and keeping MV1xx out of this path keeps small fixtures focused on
         the rule they exercise.
         """
-        normalized = path.replace(os.sep, "/").lstrip("./")
+        normalized = normalize_path(path)
         if self.config.path_ignored(normalized):
             return []
         diagnostics = self._file_diagnostics(source, path)
@@ -227,7 +227,7 @@ class LintEngine:
         diagnostics: List[Diagnostic] = []
         kept: Dict[str, str] = {}
         for path in sorted(sources):
-            normalized = path.replace(os.sep, "/").lstrip("./")
+            normalized = normalize_path(path)
             if self.config.path_ignored(normalized):
                 continue
             kept[path] = sources[path]
@@ -239,7 +239,7 @@ class LintEngine:
     # passes
     # ------------------------------------------------------------------ #
     def _file_diagnostics(self, source: str, path: str) -> List[Diagnostic]:
-        normalized = path.replace(os.sep, "/").lstrip("./")
+        normalized = normalize_path(path)
         context = FileContext(path=path, normalized=normalized, source=source)
         try:
             tree = ast.parse(source, filename=path)
@@ -267,14 +267,14 @@ class LintEngine:
 
         graph = build_graph_from_sources(
             {
-                path: (path.replace(os.sep, "/").lstrip("./"), source)
+                path: (normalize_path(path), source)
                 for path, source in sources.items()
             }
         )
         diagnostics: List[Diagnostic] = []
         for rule in self.project_rules:
             for diagnostic in rule.check_project(graph):
-                normalized = diagnostic.path.replace(os.sep, "/").lstrip("./")
+                normalized = normalize_path(diagnostic.path)
                 if self.config.path_ignored(normalized, rule.rule_id):
                     continue
                 diagnostics.append(diagnostic)
@@ -286,7 +286,7 @@ class LintEngine:
 
         sources: Dict[str, tuple] = {}
         for path in _walk_python_files(paths):
-            normalized = path.replace(os.sep, "/").lstrip("./")
+            normalized = normalize_path(path)
             if self.config.path_ignored(normalized):
                 continue
             with open(path, "r", encoding="utf-8") as handle:

@@ -18,16 +18,12 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Sequence
 
-from repro.analysis.diagnostics import Diagnostic, Severity, sort_diagnostics
+from repro.analysis.diagnostics import Diagnostic, Severity, normalize_path, sort_diagnostics
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA_URI = "https://json.schemastore.org/sarif-2.1.0.json"
 TOOL_NAME = "repro.analysis"
 TOOL_URI = "https://github.com/mvcom/mvcom-repro"
-
-
-def _normalized_uri(path: str) -> str:
-    return path.replace("\\", "/").lstrip("./")
 
 
 # ---------------------------------------------------------------------- #
@@ -40,7 +36,7 @@ def render_json(diagnostics: Sequence[Diagnostic]) -> str:
     document = {
         "diagnostics": [
             {
-                "path": _normalized_uri(d.path),
+                "path": normalize_path(d.path),
                 "line": d.line,
                 "column": d.column,
                 "rule": d.rule_id,
@@ -84,7 +80,7 @@ def render_sarif(diagnostics: Sequence[Diagnostic]) -> str:
                 {
                     "physicalLocation": {
                         "artifactLocation": {
-                            "uri": _normalized_uri(d.path),
+                            "uri": normalize_path(d.path),
                             "uriBaseId": "ROOT",
                         },
                         "region": {
@@ -218,7 +214,7 @@ def render_annotations(diagnostics: Sequence[Diagnostic]) -> str:
         kind = "error" if d.severity is Severity.ERROR else "warning"
         message = d.message.replace("%", "%25").replace("\n", "%0A")
         lines.append(
-            f"::{kind} file={_normalized_uri(d.path)},line={d.line},"
+            f"::{kind} file={normalize_path(d.path)},line={d.line},"
             f"col={d.column + 1},title={d.rule_id}::{message}"
         )
     return "\n".join(lines)
@@ -235,7 +231,7 @@ def render_graph(graph) -> str:
     modules = graph.modules
     lines.append(f"# modules ({len(modules)})")
     for name in sorted(modules):
-        lines.append(f"{name}  {_normalized_uri(modules[name].path)}")
+        lines.append(f"{name}  {normalize_path(modules[name].path)}")
 
     edges: List[str] = []
     for function in graph.iter_functions():
@@ -245,7 +241,7 @@ def render_graph(graph) -> str:
             marker = " [loop]" if site.in_loop else ""
             edges.append(
                 f"{function.qualname} -> {site.target}  "
-                f"{_normalized_uri(function.path)}:{site.line}{marker}"
+                f"{normalize_path(function.path)}:{site.line}{marker}"
             )
     lines.append("")
     lines.append(f"# call edges ({len(edges)})")
@@ -266,7 +262,7 @@ def render_graph(graph) -> str:
             flags.append("via=" + ",".join(site.via))
         suffix = f" [{' '.join(flags)}]" if flags else ""
         lines.append(
-            f"{_normalized_uri(site.path)}:{site.line} {site.family} "
+            f"{normalize_path(site.path)}:{site.line} {site.family} "
             f"{site.pattern.display()!r} registry={site.registry or '?'}{suffix}"
         )
     return "\n".join(lines) + "\n"

@@ -24,8 +24,7 @@ Where the MV00x rules inspect one file at a time, these rules run over the
   early ``if not telemetry.enabled: return/continue``), so the NullTelemetry
   fast path stays near-zero-cost in hot loops.
 
-Intentional exceptions are expressed inline (``# repro: ignore[MV101]``) or
-through the checked-in lint baseline; see ``repro.analysis.baseline``.
+Intentional exceptions are expressed inline (``# repro: ignore[MV101]``).
 """
 
 from __future__ import annotations

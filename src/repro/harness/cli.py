@@ -9,7 +9,6 @@ Usage::
     mvcom all                   # run every figure (slow)
     mvcom lint [paths...]       # static analysis (rules MV001-MV104)
     mvcom lint --format sarif   # SARIF 2.1.0 report for CI upload
-    mvcom lint --fix --dry-run  # preview MV004/MV005 autofixes
     mvcom lint --graph          # dump the call/stream graph
     mvcom solve --trace t.jsonl # one traced SE solve + final PBFT round
     mvcom solve --engine parallel --workers 4   # byte-identical pool run
@@ -263,7 +262,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv[:1] == ["lint"]:
         # Forward everything after 'lint' to the analyzer's own parser so
-        # --format/--fix/--graph/--baseline work without duplicating flags.
+        # --format/--annotate/--graph work without duplicating flags.
         from repro.analysis.__main__ import main as lint_main
 
         return lint_main(argv[1:])

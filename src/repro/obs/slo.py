@@ -21,8 +21,7 @@ after-the-fact CSV columns.  An SLO here is one of three checks against a
     those resets).
 
 Specs load from ``[tool.repro.obs.slo.<name>]`` tables in pyproject-style
-TOML (via the same 3.9-safe parser the lint config uses) or construct
-directly.  :class:`SloTracker` implements the sink protocol: attach it to
+TOML (decoded with :mod:`tomllib`) or construct directly.  :class:`SloTracker` implements the sink protocol: attach it to
 the hub *after* its aggregator and it evaluates periodically, emitting
 ``slo.violation`` events back into the same stream — so violations land in
 the very trace being recorded, and ``mvcom trace metrics --slo`` can
@@ -31,10 +30,11 @@ re-evaluate any stored trace offline.
 
 from __future__ import annotations
 
+import tomllib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.analysis.config import find_pyproject, parse_toml
+from repro.analysis.config import find_pyproject
 from repro.obs.metrics import MetricsAggregator
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
 
@@ -112,7 +112,7 @@ def load_slo_specs(
     if path is None:
         return []
     with open(path, "rb") as handle:
-        table = parse_toml(handle.read().decode("utf-8"))
+        table = tomllib.load(handle)
     section: object = table
     for key in SLO_SECTION:
         if not isinstance(section, dict):

@@ -539,43 +539,31 @@ class TestConfig:
         config = load_config()
         assert config.source is not None  # found the repo's pyproject.toml
 
-    def test_baseline_key_resolves_relative_to_pyproject(self, tmp_path):
+    def test_per_rule_ignore_globs_round_trip(self, tmp_path):
         pyproject = tmp_path / "pyproject.toml"
         pyproject.write_text(
-            '[tool.repro.analysis]\nbaseline = "lint-baseline.json"\n'
-        )
-        config = load_config(pyproject_path=str(pyproject))
-        assert config.baseline == "lint-baseline.json"
-        assert config.baseline_path() == str(tmp_path / "lint-baseline.json")
-
-    def test_toml_subset_fallback_parser(self):
-        # The 3.9/3.10 path (no tomllib); must decode the config shapes we use.
-        from repro.analysis.config import _parse_toml_subset
-
-        parsed = _parse_toml_subset(
-            "\n".join(
-                [
-                    "# comment",
-                    "[tool.repro.analysis]",
-                    'disable = ["MV006", "MV004"]  # trailing comment',
-                    "ignore = [",
-                    '    "vendored/*",',
-                    '    "generated/*",',
-                    "]",
-                    "threshold = 3",
-                    "strict = true",
-                    "",
-                    "[tool.repro.analysis.per-rule-ignore]",
-                    'MV002 = ["repro/chain/measurement.py"]',
-                ]
+            textwrap.dedent(
+                """
+                [tool.repro.analysis.per-rule-ignore]
+                MV004 = ["repro/core/legacy/*", "vendored/*"]
+                """
             )
         )
-        section = parsed["tool"]["repro"]["analysis"]
-        assert section["disable"] == ["MV006", "MV004"]
-        assert section["ignore"] == ["vendored/*", "generated/*"]
-        assert section["threshold"] == 3
-        assert section["strict"] is True
-        assert section["per-rule-ignore"]["MV002"] == ["repro/chain/measurement.py"]
+        config = load_config(pyproject_path=str(pyproject))
+        assert config.path_ignored("repro/core/legacy/x.py", "MV004")
+        assert not config.path_ignored("repro/core/legacy/x.py", "MV001")
+        assert not config.path_ignored("repro/core/fresh/x.py", "MV004")
+
+    def test_bare_string_is_a_one_item_list(self):
+        # Iterated character by character, enable = "MV004" would enable
+        # no rule at all and every file would lint clean.
+        config = config_from_section(
+            {"enable": "MV004", "disable": "mv006", "ignore": "vendored/*"}
+        )
+        assert config.enabled_rules == frozenset({"MV004"})
+        assert config.disabled_rules == frozenset({"MV006"})
+        assert config.ignore_paths == ["vendored/*"]
+        assert len(lint(BAD_MV004, config=config)) == 1
 
 
 # ---------------------------------------------------------------------- #
@@ -590,10 +578,25 @@ class TestTreeAndCli:
         assert cli_main(["lint", "src/"]) == 0
         assert "clean" in capsys.readouterr().out
 
-    def test_module_entry_point_nonzero_on_findings(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "rule_id, source, line",
+        [
+            ("MV001", "import numpy as np\nrng = np.random.default_rng(3)\n", 2),
+            ("MV004", "def collect(items=[]):\n    return items\n", 1),
+            (
+                "MV005",
+                "def risky():\n    try:\n        return 1\n    except:\n        return 0\n",
+                4,
+            ),
+        ],
+        ids=["MV001", "MV004", "MV005"],
+    )
+    def test_module_entry_point_nonzero_on_findings(
+        self, tmp_path, capsys, rule_id, source, line
+    ):
         bad = tmp_path / "repro" / "core" / "dirty.py"
         bad.parent.mkdir(parents=True)
-        bad.write_text("import numpy as np\nrng = np.random.default_rng(3)\n")
+        bad.write_text(source)
         from repro.analysis.__main__ import main as module_main
 
         # point at an empty config so the repo config cannot ignore it
@@ -601,7 +604,51 @@ class TestTreeAndCli:
         empty.write_text("")
         assert module_main([str(bad), "--config", str(empty)]) == 1
         out = capsys.readouterr().out
-        assert "MV001" in out and "dirty.py:2" in out
+        assert rule_id in out and f"dirty.py:{line}:" in out
+
+    @pytest.mark.parametrize(
+        "setting, exit_code, reported",
+        [
+            ('enable = "MV004"', 1, "MV004"),
+            ('disable = "MV004"', 1, "MV005"),
+            ('enable = ["MV04"]', 2, "enable"),
+            ('disable = ["MV04"]', 2, "disable"),
+            ('[tool.repro.analysis.per-rule-ignore]\nMV0O4 = ["*"]', 2, "per-rule-ignore"),
+        ],
+        ids=["enable-string", "disable-string", "enable-typo", "disable-typo", "per-rule-typo"],
+    )
+    def test_config_typos_do_not_switch_linting_off(
+        self, tmp_path, capsys, setting, exit_code, reported
+    ):
+        bad = tmp_path / "repro" / "core" / "dirty.py"
+        bad.parent.mkdir(parents=True)
+        bad.write_text(
+            "def collect(items=[]):\n"
+            "    try:\n"
+            "        return items\n"
+            "    except:\n"
+            "        return None\n"
+        )
+        pyproject = tmp_path / "pyproject.toml"
+        pyproject.write_text(f"[tool.repro.analysis]\n{setting}\n")
+        from repro.analysis.__main__ import main as module_main
+
+        assert module_main([str(bad), "--config", str(pyproject)]) == exit_code
+        captured = capsys.readouterr()
+        if exit_code == 2:
+            assert f"{reported}: unknown rule id" in captured.err
+            assert str(pyproject) in captured.err
+        else:  # exactly the one rule the string names (or leaves) switched on
+            assert {r for r in ("MV004", "MV005") if r in captured.out} == {reported}
+
+    def test_malformed_pyproject_is_a_configuration_error(self, tmp_path, capsys):
+        pyproject = tmp_path / "pyproject.toml"
+        pyproject.write_text('[tool.repro\n[tool.repro.analysis\ndisable = ["MV006"]\n')
+        from repro.analysis.__main__ import main as module_main
+
+        assert module_main(["src", "--config", str(pyproject)]) == 2
+        err = capsys.readouterr().err
+        assert str(pyproject) in err and "invalid TOML" in err and "line 1" in err
 
     def test_module_entry_point_rejects_missing_config(self, tmp_path, capsys):
         from repro.analysis.__main__ import main as module_main
@@ -746,78 +793,3 @@ class TestPragmas:
             "    return items\n"
         )
         assert lint(source) == []
-
-
-# ---------------------------------------------------------------------- #
-# tomllib-fallback parser edge cases (3.9/3.10 path)
-# ---------------------------------------------------------------------- #
-class TestTomlSubsetEdgeCases:
-    def _section(self, text):
-        from repro.analysis.config import _parse_toml_subset
-
-        parsed = _parse_toml_subset(textwrap.dedent(text))
-        return parsed.get("tool", {}).get("repro", {}).get("analysis", {})
-
-    def test_per_rule_ignore_globs_round_trip(self):
-        section = self._section(
-            """
-            [tool.repro.analysis.per-rule-ignore]
-            MV004 = ["repro/core/legacy/*", "vendored/*"]
-            """
-        )
-        config = config_from_section(section)
-        assert config.path_ignored("repro/core/legacy/x.py", "MV004")
-        assert not config.path_ignored("repro/core/legacy/x.py", "MV001")
-        assert not config.path_ignored("repro/core/fresh/x.py", "MV004")
-
-    def test_duplicate_keys_last_wins(self):
-        # tomllib rejects duplicates outright; the lenient fallback takes
-        # the final assignment so a hand-edited file still lints.
-        section = self._section(
-            """
-            [tool.repro.analysis]
-            disable = ["MV001"]
-            disable = ["MV006"]
-            """
-        )
-        assert section["disable"] == ["MV006"]
-
-    def test_reopened_table_headers_merge(self):
-        section = self._section(
-            """
-            [tool.repro.analysis]
-            disable = ["MV006"]
-
-            [tool.other]
-            x = 1
-
-            [tool.repro.analysis]
-            ignore = ["vendored/*"]
-            """
-        )
-        assert section["disable"] == ["MV006"]
-        assert section["ignore"] == ["vendored/*"]
-
-    def test_malformed_scalar_table_clash_is_not_fatal(self):
-        # ``disable`` is a list; reopening it as a table must not raise and
-        # must not clobber the decoded list.
-        section = self._section(
-            """
-            [tool.repro.analysis]
-            disable = ["MV006"]
-
-            [tool.repro.analysis.disable.extra]
-            x = 1
-            """
-        )
-        assert section["disable"] == ["MV006"]
-
-    def test_garbage_lines_skipped(self):
-        section = self._section(
-            """
-            [tool.repro.analysis]
-            this line is not toml at all )(
-            disable = ["MV006"]
-            """
-        )
-        assert section["disable"] == ["MV006"]
