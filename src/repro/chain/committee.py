@@ -11,10 +11,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.chain.blocks import ShardBlock
 from repro.chain.node import Node
 from repro.chain.fastpath import (
     _pbft_kernel_batch,
+    des_fallback_reason,
     emit_kernel_round,
     kernel_chunk_rows,
     run_pbft,
@@ -36,7 +36,6 @@ class Committee:
     formation_latency: float = 0.0
     consensus_latency: Optional[float] = None
     shard_tx_count: int = 0
-    shard_block: Optional[ShardBlock] = None
     #: why stage 3 replayed this committee on the DES (``None`` = kernel)
     des_replay: Optional[str] = None
 
@@ -77,9 +76,10 @@ class Committee:
         rng: np.random.Generator,
         verify_mean_s: Optional[float] = None,
         telemetry: NullTelemetry = NULL_TELEMETRY,
-    ) -> Optional[ShardBlock]:
-        """Run stage 3 (PBFT) and produce this committee's shard block.
+    ) -> Optional[float]:
+        """Run stage 3 (PBFT); return the consensus latency, ``None`` on a stall.
 
+        The latency is also stamped on :attr:`consensus_latency`.
         ``verify_mean_s`` defaults to a value calibrated so the expected
         total consensus latency matches ``params.pbft_mean_total_s``: the
         round spends roughly two verify delays (prepare + commit votes) and
@@ -101,14 +101,7 @@ class Committee:
         if not outcome.committed:
             return None
         self.consensus_latency = outcome.latency
-        self.shard_block = ShardBlock(
-            committee_id=self.committee_id,
-            epoch=self.epoch,
-            tx_count=self.shard_tx_count,
-            formation_latency=self.formation_latency,
-            consensus_latency=self.consensus_latency,
-        )
-        return self.shard_block
+        return self.consensus_latency
 
 
 def _stage3_commit_times(
@@ -137,10 +130,10 @@ def _stage3_commit_times(
 
     Stamps ``consensus_latency`` on each committing committee (and
     ``des_replay`` on each replayed one) and returns the committing
-    committees in committee order; block materialisation is left to the
-    caller (:func:`run_intra_consensus_batch` builds :class:`ShardBlock`
-    objects, :func:`run_intra_consensus_streaming` folds straight into a
-    crosslink sink).
+    committees in committee order.  Which rounds take the closed form is
+    decided by :func:`repro.chain.fastpath.des_fallback_reason` before the
+    draw and :meth:`KernelBatch.in_time` after it -- the same rule a
+    single :func:`repro.chain.fastpath.run_pbft_round_fast` round follows.
     """
     if verify_mean_s is None:
         verify_mean_s = calibrated_verify_mean(params)
@@ -151,14 +144,11 @@ def _stage3_commit_times(
     for committee in committees:
         if not committee.can_reach_quorum:
             continue  # stalls without consuming randomness, like the serial path
-        if committee.size < 4:
-            raise ValueError("PBFT needs at least 4 members (3f+1, f >= 1)")
-        if lossy:
-            fallbacks.append((committee, "lossy-network"))
-        elif committee.honest_count < 2 * ((committee.size - 1) // 3) + 1:
-            fallbacks.append((committee, "no-quorum"))
-        else:
+        reason = des_fallback_reason(committee.size, committee.honest_count, params.network)
+        if reason is None:
             eligible.append(committee)
+        else:
+            fallbacks.append((committee, reason))
 
     if eligible:
         honest = np.array(
@@ -235,35 +225,6 @@ def _stage3_commit_times(
     return [c for c in committees if c.consensus_latency is not None]
 
 
-def run_intra_consensus_batch(
-    committees: Sequence[Committee],
-    params: ChainParams,
-    rng: np.random.Generator,
-    verify_mean_s: Optional[float] = None,
-    telemetry: NullTelemetry = NULL_TELEMETRY,
-) -> List[ShardBlock]:
-    """Stage 3 for the ``fastpath`` engine: one batched kernel call.
-
-    See :func:`_stage3_commit_times` for the kernel/fallback semantics.
-    Returns the submitted shard blocks in committee order and stamps
-    ``consensus_latency`` / ``shard_block`` on each committee, exactly
-    like per-committee :meth:`Committee.run_intra_consensus` calls.
-    """
-    blocks: List[ShardBlock] = []
-    for committee in _stage3_commit_times(
-        committees, params, rng, verify_mean_s=verify_mean_s, telemetry=telemetry
-    ):
-        committee.shard_block = ShardBlock(
-            committee_id=committee.committee_id,
-            epoch=committee.epoch,
-            tx_count=committee.shard_tx_count,
-            formation_latency=committee.formation_latency,
-            consensus_latency=committee.consensus_latency,
-        )
-        blocks.append(committee.shard_block)
-    return blocks
-
-
 def run_intra_consensus_streaming(
     committees: Sequence[Committee],
     params: ChainParams,
@@ -274,14 +235,14 @@ def run_intra_consensus_streaming(
 ) -> int:
     """Stage 3 that folds submissions straight into a crosslink sink.
 
-    Identical consensus semantics (and RNG consumption) to
-    :func:`run_intra_consensus_batch`, but instead of materialising one
-    :class:`ShardBlock` per committee it extends ``sink`` -- any object
+    The ``fastpath`` engine's stage 3 (see :func:`_stage3_commit_times`
+    for the kernel/fallback semantics).  Extends ``sink`` -- any object
     with an ``extend(ids, tx_counts, latencies)`` method, canonically
     :class:`repro.chain.final.CrosslinkAggregator` -- with three flat
-    arrays in committee order.  At eth2 scale this keeps stage 3 -> 4
-    hand-off allocation at three arrays instead of ~1024 Python objects
-    plus a list.  Returns the number of submitted shards.
+    arrays in committee order: committee id, ``s_i`` and the two-phase
+    ``l_i``.  At eth2 scale this keeps the stage 3 -> 4 hand-off at three
+    arrays instead of ~1024 per-shard Python objects.  Returns the number
+    of submitted shards.
     """
     committed = _stage3_commit_times(
         committees, params, rng, verify_mean_s=verify_mean_s, telemetry=telemetry

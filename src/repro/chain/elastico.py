@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from repro.chain.blocks import RootChain, ShardBlock
 from repro.chain.committee import (
     Committee,
     assign_shard_workload,
-    run_intra_consensus_batch,
     run_intra_consensus_streaming,
 )
 from repro.chain.fastpath import formation_kernel
@@ -185,6 +184,55 @@ class ElasticoSimulation:
         workloads come from Elastico's hash-prefix TX partition and the
         transactions packed into the final block are removed from the pool;
         otherwise ``shard_tx_counts`` (or a synthetic default) is used.
+        The epoch runs exactly as :meth:`run_epoch_streaming`; the
+        submitted :class:`ShardBlock` list is rebuilt afterwards from the
+        committees that committed, in committee order.
+        """
+        committees, streamed = self._run_epoch(shard_tx_counts, mempool)
+        return EpochOutcome(
+            epoch=streamed.epoch,
+            committees=committees,
+            shard_blocks=[
+                ShardBlock(
+                    committee_id=c.committee_id,
+                    epoch=c.epoch,
+                    tx_count=c.shard_tx_count,
+                    formation_latency=c.formation_latency,
+                    consensus_latency=c.consensus_latency,
+                )
+                for c in committees
+                if c.consensus_latency is not None
+            ],
+            final=streamed.final,
+            randomness=streamed.randomness,
+            formation_latencies=streamed.formation_latencies,
+            consensus_latencies=streamed.consensus_latencies,
+        )
+
+    def run_epoch_streaming(
+        self,
+        shard_tx_counts: Optional[Sequence[int]] = None,
+    ) -> StreamingEpochOutcome:
+        """The five stages without materialising per-shard objects.
+
+        The same epoch as :meth:`run_epoch` (same RNG consumption, same
+        final block hash) on either chain engine, returning counts instead
+        of the :class:`ShardBlock` list -- the eth2-scale entry point,
+        where ~1024 per-shard Python objects per epoch are pure allocator
+        churn.  Mempool-driven workloads stay on :meth:`run_epoch`.
+        """
+        return self._run_epoch(shard_tx_counts, None)[1]
+
+    def _run_epoch(
+        self,
+        shard_tx_counts: Optional[Sequence[int]],
+        mempool,
+    ) -> Tuple[List[Committee], StreamingEpochOutcome]:
+        """The epoch body behind :meth:`run_epoch` and :meth:`run_epoch_streaming`.
+
+        Stage 3 folds every committed shard into a
+        :class:`CrosslinkAggregator`, and stage 4 schedules from it with
+        :meth:`FinalCommittee.run_streaming`.
         """
         rng = self.streams.fork(f"epoch-{self.epoch}").get("epoch")
         committees = self.form_committees(rng)
@@ -202,36 +250,34 @@ class ElasticoSimulation:
             shard_tx_counts = rng.poisson(1400, size=len(committees))
         assign_shard_workload(committees, shard_tx_counts)
 
-        # Stage 3: every member committee (all but the final one) runs PBFT.
+        # Stage 3: every member committee (all but the final one) runs PBFT
+        # and submits its shard (id, s_i, two-phase l_i) in committee order.
         # The fastpath engine batches all eligible committees into one
-        # vectorized kernel call (see run_intra_consensus_batch).
+        # kernel call; the DES runs them one round at a time.
         member_committees = committees[:-1] if len(committees) > 1 else committees
         final_seat = committees[-1]
+        aggregator = CrosslinkAggregator(capacity_hint=len(member_committees))
         if self.params.chain_engine == "fastpath":
-            shard_blocks = run_intra_consensus_batch(
-                member_committees, self.params, rng, telemetry=self.telemetry
+            run_intra_consensus_streaming(
+                member_committees, self.params, rng, aggregator, telemetry=self.telemetry
             )
         else:
-            shard_blocks = []
             for committee in member_committees:
-                block = committee.run_intra_consensus(self.params, rng, telemetry=self.telemetry)
-                if block is not None:
-                    shard_blocks.append(block)
+                latency = committee.run_intra_consensus(self.params, rng, telemetry=self.telemetry)
+                if latency is not None:
+                    aggregator.add(
+                        committee.committee_id,
+                        committee.shard_tx_count,
+                        committee.formation_latency + latency,
+                    )
 
         # Stage 4: final consensus with the configured scheduler.
-        final_committee = FinalCommittee(
+        final_result = FinalCommittee(
             committee=final_seat,
             params=self.params,
             mvcom_config=self.mvcom_config,
             scheduler=self.scheduler,
-        )
-        final_result = (
-            final_committee.run(
-                shard_blocks, self.chain, self.randomness, rng, telemetry=self.telemetry
-            )
-            if shard_blocks
-            else None
-        )
+        ).run_streaming(aggregator, self.chain, self.randomness, rng, telemetry=self.telemetry)
 
         # Commit: permitted shards' transactions leave the mempool (the
         # final committee first re-checks cross-shard disjointness).
@@ -256,97 +302,10 @@ class ElasticoSimulation:
             rng=rng,
         )
 
-        outcome = EpochOutcome(
-            epoch=self.epoch,
-            committees=committees,
-            shard_blocks=shard_blocks,
-            final=final_result,
-            randomness=self.randomness,
-            formation_latencies={c.committee_id: c.formation_latency for c in committees},
-            consensus_latencies={
-                c.committee_id: c.consensus_latency
-                for c in committees
-                if c.consensus_latency is not None
-            },
-        )
-        if self.telemetry.enabled:
-            self.telemetry.event(
-                "chain.epoch",
-                epoch=outcome.epoch,
-                committees=len(committees),
-                shards_submitted=len(shard_blocks),
-                shards_permitted=(
-                    int(final_result.permitted_mask.sum()) if final_result is not None else 0
-                ),
-                committed=final_result is not None,
-            )
-        self.epoch += 1
-        return outcome
-
-    def run_epoch_streaming(
-        self,
-        shard_tx_counts: Optional[Sequence[int]] = None,
-    ) -> StreamingEpochOutcome:
-        """The five stages with memory-bounded stage 3 -> 4 hand-off.
-
-        Byte-identical to :meth:`run_epoch` on the ``fastpath`` engine
-        (same RNG consumption, same final block hash), but shard
-        submissions stream through a :class:`CrosslinkAggregator`
-        instead of a :class:`ShardBlock` list -- the eth2-scale path
-        where ~1024 per-shard Python objects per epoch are pure
-        allocator churn.  Mempool-driven workloads stay on
-        :meth:`run_epoch` (removing committed TXs needs the per-shard
-        assignment anyway).
-        """
-        if self.params.chain_engine != "fastpath":
-            raise ValueError(
-                "run_epoch_streaming requires chain_engine='fastpath' "
-                "(the DES path materialises per-round objects regardless)"
-            )
-        # Intentionally the same stream key as run_epoch: the streaming
-        # path must replay the exact byte sequence of the object path.
-        rng = self.streams.fork(f"epoch-{self.epoch}").get("epoch")  # repro: ignore[MV101]
-        committees = self.form_committees(rng)
-        if not committees:
-            raise RuntimeError(
-                "no committee filled this epoch; raise num_nodes or lower committee_size"
-            )
-        if shard_tx_counts is None:
-            # Same synthetic default (and draw) as run_epoch.
-            shard_tx_counts = rng.poisson(1400, size=len(committees))
-        assign_shard_workload(committees, shard_tx_counts)
-
-        member_committees = committees[:-1] if len(committees) > 1 else committees
-        final_seat = committees[-1]
-        aggregator = CrosslinkAggregator(capacity_hint=len(member_committees))
-        submitted = run_intra_consensus_streaming(
-            member_committees, self.params, rng, aggregator, telemetry=self.telemetry
-        )
-
-        final_committee = FinalCommittee(
-            committee=final_seat,
-            params=self.params,
-            mvcom_config=self.mvcom_config,
-            scheduler=self.scheduler,
-        )
-        final_result = (
-            final_committee.run_streaming(
-                aggregator, self.chain, self.randomness, rng, telemetry=self.telemetry
-            )
-            if submitted
-            else None
-        )
-
-        self.randomness = refresh_randomness(
-            epoch=self.epoch,
-            member_ids=[node.node_id for node in final_seat.members],
-            rng=rng,
-        )
-
         outcome = StreamingEpochOutcome(
             epoch=self.epoch,
             num_committees=len(committees),
-            shards_submitted=submitted,
+            shards_submitted=aggregator.count,
             final=final_result,
             randomness=self.randomness,
             formation_latencies={c.committee_id: c.formation_latency for c in committees},
@@ -364,11 +323,11 @@ class ElasticoSimulation:
                 "chain.epoch",
                 epoch=outcome.epoch,
                 committees=len(committees),
-                shards_submitted=submitted,
+                shards_submitted=outcome.shards_submitted,
                 shards_permitted=(
                     int(final_result.permitted_mask.sum()) if final_result is not None else 0
                 ),
                 committed=final_result is not None,
             )
         self.epoch += 1
-        return outcome
+        return committees, outcome

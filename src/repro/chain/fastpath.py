@@ -47,14 +47,15 @@ The closed form is *invalid* (caller falls back to the DES) when the
 honest count cannot reach quorum, ``loss_probability > 0``, or the
 computed commit reaches ``t_v + T * 2**v``, the timeout of its view (the
 DES would fire the timer first and change views again).  The first two
-checks happen before any RNG draw, so a fallback round consumes the
-stream from exactly the same position as a pure DES run and stays
-byte-identical; the timeout fallback necessarily happens after the
-kernel's draws and is only distributionally faithful.
+checks (:func:`des_fallback_reason`) happen before any RNG draw, so a
+fallback round consumes the stream from exactly the same position as a
+pure DES run and stays byte-identical; the timeout check
+(:meth:`KernelBatch.in_time`) necessarily happens after the kernel's
+draws and is only distributionally faithful.
 
 **Batched rounds.**  All committees of an epoch share one sequential RNG
-stream, so :func:`repro.chain.committee.run_intra_consensus_batch` stacks
-every closed-form-eligible committee -- honest and Byzantine view-0
+stream, so :func:`repro.chain.committee.run_intra_consensus_streaming`
+stacks every closed-form-eligible committee -- honest and Byzantine view-0
 primaries alike -- into a single kernel call (:func:`_pbft_kernel_batch`)
 instead of ``K`` small-matrix calls; the per-call numpy dispatch overhead
 dominates at ``c = 8``, and at ``c = 128`` a DES replay costs ~40k
@@ -473,73 +474,25 @@ def emit_kernel_round(
     )
 
 
-def _closed_form_pbft(
-    members: Sequence[Node],
-    rng: np.random.Generator,
-    network_params: NetworkParams,
-    verify_mean_s: float,
-    round_tag: str,
-    view_change_timeout_s: Optional[float],
-    telemetry: NullTelemetry,
-) -> Tuple[Optional[PbftOutcome], str]:
-    """The order-statistics kernel; returns ``(outcome, fallback_reason)``.
+def des_fallback_reason(
+    size: int, honest: int, network_params: NetworkParams
+) -> Optional[str]:
+    """Why a round must run on the DES instead of the kernel, or ``None``.
 
-    ``outcome`` is ``None`` when the closed form does not apply and the
-    caller must run the reference DES; ``fallback_reason`` says why.
+    The pre-draw half of the closed-form rule, shared by single rounds
+    (:func:`run_pbft_round_fast`) and batched stage 3
+    (:func:`repro.chain.committee.run_intra_consensus_streaming`); the
+    post-draw half is :meth:`KernelBatch.in_time`.  Nothing here consumes
+    randomness, so a round that falls back here replays the DES from the
+    identical stream position.
     """
-    c = len(members)
-    if c < 4:
+    if size < 4:
         raise ValueError("PBFT needs at least 4 members (3f+1, f >= 1)")
-    f = (c - 1) // 3
-    # Validity checks that consume no randomness -- a fallback from here
-    # replays the DES from the identical stream position.
     if network_params.loss_probability > 0.0:
-        return None, "lossy-network"
-    honest = np.array([node.honest for node in members], dtype=bool)
-    if int(honest.sum()) < 2 * f + 1:
-        return None, "no-quorum"
-
-    speeds = np.array([node.verify_speed for node in members])
-    batch = _pbft_kernel_batch(
-        honest[None, :],
-        speeds[None, :],
-        rng,
-        network_params,
-        verify_mean_s,
-        view_change_timeout_s=view_change_timeout_s,
-    )
-    if not batch.in_time()[0]:
-        # The DES would fire the next view change before this commit.
-        # (The kernel's key draw is already consumed, so this fallback is
-        # distributional only.)
-        return None, "view-change-timeout"
-
-    commit_time = float(batch.commit[0])
-    outcome = PbftOutcome(
-        committed=True,
-        start_time=0.0,
-        commit_time=commit_time,
-        stage_times=batch.stage_times(0),
-    )
-    emit_kernel_round(telemetry, round_tag, batch, 0, c)
-    return outcome, ""
-
-
-def pbft_round_closed_form(
-    members: Sequence[Node],
-    rng: np.random.Generator,
-    network_params: NetworkParams,
-    verify_mean_s: float,
-    round_tag: str = "round-0",
-    view_change_timeout_s: Optional[float] = None,
-    telemetry: NullTelemetry = NULL_TELEMETRY,
-) -> Optional[PbftOutcome]:
-    """Closed-form round latency, or ``None`` when the DES must run."""
-    outcome, _ = _closed_form_pbft(
-        members, rng, network_params, verify_mean_s, round_tag,
-        view_change_timeout_s, telemetry,
-    )
-    return outcome
+        return "lossy-network"
+    if honest < 2 * ((size - 1) // 3) + 1:
+        return "no-quorum"
+    return None
 
 
 def run_pbft_round_fast(
@@ -550,12 +503,29 @@ def run_pbft_round_fast(
     round_tag: str = "round-0",
     telemetry: NullTelemetry = NULL_TELEMETRY,
 ) -> PbftOutcome:
-    """One PBFT round on the fast path, DES fallback when invalid."""
-    outcome, reason = _closed_form_pbft(
-        members, rng, network_params, verify_mean_s, round_tag, None, telemetry
-    )
-    if outcome is not None:
-        return outcome
+    """One PBFT round on the fast path, DES fallback when invalid.
+
+    A fallback runs :func:`repro.chain.pbft.run_pbft_round`, which drains
+    the whole event queue: the caller's stream position afterwards is the
+    pure DES's (after a timeout fallback, plus the kernel's key draw).
+    """
+    honest = np.array([node.honest for node in members], dtype=bool)
+    reason = des_fallback_reason(len(members), int(honest.sum()), network_params)
+    if reason is None:
+        speeds = np.array([node.verify_speed for node in members])
+        batch = _pbft_kernel_batch(
+            honest[None, :], speeds[None, :], rng, network_params, verify_mean_s
+        )
+        if batch.in_time()[0]:
+            emit_kernel_round(telemetry, round_tag, batch, 0, len(members))
+            return PbftOutcome(
+                committed=True,
+                start_time=0.0,
+                commit_time=float(batch.commit[0]),
+                stage_times=batch.stage_times(0),
+            )
+        # The DES would fire the next view change before this commit.
+        reason = "view-change-timeout"
     if telemetry.enabled:
         telemetry.event("chain.fastpath.fallback", tag=round_tag, reason=reason)
     return run_pbft_round(

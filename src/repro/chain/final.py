@@ -11,16 +11,16 @@ policy (the Elastico default MVCom improves upon).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.analysis.contracts import sane_instance
-from repro.chain.blocks import FinalBlock, RootChain, ShardBlock, _hash_payload
+from repro.chain.blocks import FinalBlock, RootChain, _hash_payload
 from repro.chain.committee import Committee, calibrated_verify_mean
 from repro.chain.fastpath import run_pbft
 from repro.chain.params import ChainParams
-from repro.core.problem import EpochInstance, MVComConfig, build_instance
+from repro.core.problem import EpochInstance, MVComConfig
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
 
 #: A scheduler maps an epoch instance to a boolean selection mask.
@@ -47,16 +47,14 @@ def take_everything(instance: EpochInstance) -> np.ndarray:
 class CrosslinkAggregator:
     """Memory-bounded fold of submitted shards into the MVCom instance.
 
-    The object path hands stage 4 a Python list of :class:`ShardBlock`
-    objects -- ~1024 dataclasses plus their list at eth2 scale, rebuilt
-    into arrays by ``build_instance`` anyway.  This aggregator keeps the
-    three features the scheduler actually needs (committee id, ``s_i``,
-    two-phase ``l_i``) in running numpy arrays with amortised-doubling
-    growth, accepting per-shard :meth:`add` calls or whole-batch
-    :meth:`extend` calls from
-    :func:`repro.chain.committee.run_intra_consensus_streaming`, and
-    feeds :meth:`FinalCommittee.run_streaming` directly.  The resulting
-    epoch is byte-identical to the object path.
+    The only stage 3 -> 4 hand-off of an epoch.  It keeps the three
+    features the scheduler needs (committee id, ``s_i``, two-phase
+    ``l_i``) in running numpy arrays with amortised-doubling growth
+    instead of one :class:`repro.chain.blocks.ShardBlock` per shard
+    (~1024 at eth2 scale), accepting per-shard :meth:`add` calls from the
+    DES engine's round-at-a-time loop or whole-batch :meth:`extend` calls
+    from :func:`repro.chain.committee.run_intra_consensus_streaming`, and
+    feeds :meth:`FinalCommittee.run_streaming` directly.
     """
 
     def __init__(self, capacity_hint: int = 256) -> None:
@@ -122,11 +120,9 @@ class CrosslinkAggregator:
         return self._latencies[: self._count]
 
     def arrival_positions(self, n_max_fraction: float) -> np.ndarray:
-        """Positions kept by the N_max cutoff, fastest-first (stable).
+        """Positions kept by the N_max cutoff (Alg. 1 line 29), fastest-first.
 
-        Mirrors :meth:`FinalCommittee.arrival_window` exactly: a stable
-        latency sort of the submission-ordered arrays equals Python's
-        stable ``sorted`` over the block list.
+        The sort is stable, so equal latencies keep submission order.
         """
         count = max(1, int(np.floor(n_max_fraction * self._count)))
         return np.argsort(self.latencies, kind="stable")[:count]
@@ -180,34 +176,6 @@ class FinalCommittee:
         self.mvcom_config = mvcom_config
         self.scheduler = scheduler
 
-    def arrival_window(self, shard_blocks: Sequence[ShardBlock]) -> List[ShardBlock]:
-        """Apply the N_max listening cutoff (Alg. 1 line 29)."""
-        count = max(1, int(np.floor(self.mvcom_config.n_max_fraction * len(shard_blocks))))
-        return sorted(shard_blocks, key=lambda block: block.two_phase_latency)[:count]
-
-    def run(
-        self,
-        shard_blocks: Sequence[ShardBlock],
-        chain: RootChain,
-        randomness: str,
-        rng: np.random.Generator,
-        telemetry: NullTelemetry = NULL_TELEMETRY,
-    ) -> Optional[FinalConsensusResult]:
-        """Execute stage 4: schedule shards, run final PBFT, append the block."""
-        if not shard_blocks:
-            return None
-        arrived = self.arrival_window(shard_blocks)
-        instance = build_instance(arrived, self.mvcom_config)
-
-        def hashes_for_mask(mask: np.ndarray):
-            permitted = [arrived[i] for i in np.flatnonzero(mask)]
-            hashes = tuple(sorted(shard.block_hash for shard in permitted))
-            return hashes, int(sum(shard.tx_count for shard in permitted))
-
-        return self._finalize(
-            instance, len(arrived), hashes_for_mask, chain, randomness, rng, telemetry
-        )
-
     def run_streaming(
         self,
         aggregator: CrosslinkAggregator,
@@ -216,14 +184,15 @@ class FinalCommittee:
         rng: np.random.Generator,
         telemetry: NullTelemetry = NULL_TELEMETRY,
     ) -> Optional[FinalConsensusResult]:
-        """Stage 4 fed by a :class:`CrosslinkAggregator`, no block objects.
+        """Execute stage 4: schedule shards, run final PBFT, append the block.
 
-        Byte-identical to :meth:`run` over the same submissions: the
-        stable latency argsort reproduces :meth:`arrival_window`, the
-        instance is built from the aggregator's arrays directly, and the
-        permitted shard hashes are recomputed from ``(id, epoch,
-        tx_count)`` -- the same preimage a :class:`ShardBlock` hashes --
-        for the permitted positions only.
+        Applies the N_max listening cutoff to the aggregator's submissions
+        (:meth:`CrosslinkAggregator.arrival_positions`), builds the
+        instance from its arrays directly, and recomputes the permitted
+        shard hashes from ``(id, epoch, tx_count)`` -- the preimage a
+        :class:`repro.chain.blocks.ShardBlock` hashes -- for the permitted positions only.
+        Returns ``None`` when nothing was submitted or the final round
+        stalls.
         """
         if aggregator.count == 0:
             return None

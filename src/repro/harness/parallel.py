@@ -19,9 +19,7 @@ wall-clock only.
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.core.engine import clamp_workers, shared_pool
@@ -34,25 +32,9 @@ SWEEP_FIGURES = ("fig10", "fig11", "fig12", "fig13", "fig14")
 #: Default pool size when ``--sweep-workers auto`` lands on a multi-core box.
 AUTO_SWEEP_WORKERS = 4
 
-#: ``auto`` falls back to the serial loop at or below this core count — the
-#: recorded bench shows the pool losing outright there (pickling cost with
-#: no parallelism to pay for it).
+#: ``auto`` keeps the serial loop below this core count, where the pool's
+#: pickling cost has little parallelism to pay for it.
 AUTO_SWEEP_MIN_CPUS = 3
-
-
-def _recorded_sweep_speedup() -> Optional[float]:
-    """Best-effort read of the recorded sweep speedup from the bench file.
-
-    Returns ``chain_fastpath.sweep_speedup`` from ``BENCH_se_convergence.json``
-    at the repo root, or ``None`` when running from an installed package (no
-    bench file in sight) — callers fall back to the core-count heuristic.
-    """
-    bench = Path(__file__).resolve().parents[3] / "BENCH_se_convergence.json"
-    try:
-        record = json.loads(bench.read_text())
-        return float(record["chain_fastpath"]["sweep_speedup"])
-    except (OSError, KeyError, TypeError, ValueError):
-        return None
 
 
 def resolve_sweep_workers(
@@ -62,13 +44,13 @@ def resolve_sweep_workers(
     """Resolve a ``--sweep-workers`` value to ``(workers, warning)``.
 
     ``"auto"`` (the default) keeps the sweep serial when the box exposes
-    ``cpu_count <= 2`` — the configuration where the recorded bench shows
-    the pool losing (``chain_fastpath.sweep_speedup`` 0.25x on 1 core) —
-    and otherwise grants ``min(AUTO_SWEEP_WORKERS, cpu_count)``.  An
-    explicit integer is honoured (clamped to the core count, like
-    :func:`repro.core.engine.clamp_workers`) but comes back with a one-line
-    warning when the recorded bench says this box loses, so ``--parallel``
-    never silently runs a known-regressing path.
+    ``cpu_count <= 2`` and otherwise grants
+    ``min(AUTO_SWEEP_WORKERS, cpu_count)``.  An explicit integer is
+    honoured (clamped to the core count, like
+    :func:`repro.core.engine.clamp_workers`) but comes back with a fixed
+    one-line warning on such a low-core box, where ``auto`` would stay
+    serial, so ``--parallel`` never silently overrides that choice.  The
+    decision and the warning depend on the arguments alone.
     """
     cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
     if requested in ("auto", None):
@@ -78,16 +60,10 @@ def resolve_sweep_workers(
     requested = int(requested)
     workers = clamp_workers(requested, cpu_count=cpus)
     if requested > 1 and cpus < AUTO_SWEEP_MIN_CPUS:
-        recorded = _recorded_sweep_speedup()
-        detail = (
-            f"recorded bench sweep_speedup {recorded:.2f}x"
-            if recorded is not None
-            else "recorded bench shows the pool losing"
-        )
         return workers, (
             f"warning: parallel sweep requested {requested} workers on a "
-            f"{cpus}-cpu box ({detail}); granting {workers} — "
-            f"use --sweep-workers auto to stay serial here"
+            f"{cpus}-cpu box (auto stays serial below {AUTO_SWEEP_MIN_CPUS} cpus); "
+            f"granting {workers} — use --sweep-workers auto to stay serial here"
         )
     return workers, None
 

@@ -9,7 +9,8 @@ The tentpole claims under test:
 * chunking bounds peak scratch memory (tracemalloc, which tracks numpy's
   allocator);
 * the streaming epoch (:meth:`ElasticoSimulation.run_epoch_streaming` +
-  :class:`CrosslinkAggregator`) replays the object epoch byte for byte;
+  :class:`CrosslinkAggregator`) is the :meth:`ElasticoSimulation.run_epoch`
+  epoch byte for byte, on either chain engine;
 * the ``eth2scale`` preset / CLI verb exist and run at toy scale.
 """
 
@@ -33,6 +34,7 @@ from repro.harness.presets import PRESETS
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
 from repro.sim.rng import spawn_rng
+from tests.test_chain_golden import GOLDEN, epoch_pins
 
 
 def _committee_stack(num_committees, size, seed=0, view_changes=False):
@@ -165,10 +167,12 @@ class TestStreamingEpoch:
         assert tiny.final.block.block_hash == base.final.block.block_hash
         assert tiny.consensus_latencies == base.consensus_latencies
 
-    def test_streaming_requires_fastpath(self):
+    def test_streaming_des_epoch_matches_golden(self):
+        """The DES engine streams too: its epochs replay the pinned DES
+        epochs, and nothing is a kernel fallback."""
+        assert epoch_pins("des", streaming=True) == GOLDEN["des"]
         sim = ElasticoSimulation(self._params(chain_engine="des"))
-        with pytest.raises(ValueError, match="fastpath"):
-            sim.run_epoch_streaming()
+        assert sim.run_epoch_streaming().des_replays == {}
 
     def test_chunks_telemetry_event(self):
         ring = RingBufferSink(4096)

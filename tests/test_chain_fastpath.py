@@ -22,14 +22,16 @@ import textwrap
 import numpy as np
 import pytest
 
+from repro.chain.committee import run_intra_consensus_streaming
 from repro.chain.elastico import ElasticoSimulation
 from repro.chain.fastpath import (
+    _pbft_kernel_batch,
     formation_kernel,
     view_change_timeout,
-    pbft_round_closed_form,
     run_pbft,
     run_pbft_round_fast,
 )
+from repro.chain.final import CrosslinkAggregator
 from repro.chain.measurement import linear_growth_check, measure_two_phase_latency
 from repro.chain.network import Network
 from repro.chain.node import spawn_nodes
@@ -66,6 +68,20 @@ def des_commit_times(size, seeds, byzantine_fraction=0.0, byzantine_seats=()):
         if outcome.committed:
             times.append(outcome.latency)
     return times
+
+
+def kernel_round(members, seed):
+    """``run_pbft_round_fast`` for a round that must take the closed form."""
+    ring = RingBufferSink(1024)
+    outcome = run_pbft_round_fast(
+        members=members,
+        rng=spawn_rng(seed, "round"),
+        network_params=NetworkParams(),
+        verify_mean_s=VERIFY_MEAN_S,
+        telemetry=Telemetry(sinks=[ring]),
+    )
+    assert not [r for r in ring.records if r.get("name") == "chain.fastpath.fallback"]
+    return outcome
 
 
 def fastpath_commit_times(size, seeds, byzantine_fraction=0.0, byzantine_seats=()):
@@ -108,10 +124,8 @@ class TestKernelDistribution:
 
     def test_stage_times_ordered(self):
         members = spawn_nodes(count=8, byzantine_fraction=0.0, rng=spawn_rng(3, "members"))
-        outcome = pbft_round_closed_form(
-            members, spawn_rng(3, "round"), NetworkParams(), VERIFY_MEAN_S
-        )
-        assert outcome is not None and outcome.committed
+        outcome = kernel_round(members, 3)
+        assert outcome.committed
         stages = outcome.stage_times
         assert 0.0 == stages["pre-prepare-sent"] <= stages["prepare-quorum"] <= stages["commit-quorum"]
         assert outcome.latency == stages["commit-quorum"]
@@ -141,14 +155,12 @@ class TestViewChangeKernel:
 
     def test_stage_times_ordered_and_shaped_like_the_des(self):
         members = _members(8, 4, byzantine_seats=(0, 1))
-        outcome = pbft_round_closed_form(
-            members, spawn_rng(4, "round"), NetworkParams(), VERIFY_MEAN_S
-        )
+        outcome = kernel_round(members, 4)
         reference = run_pbft_round(
             members=members, rng=spawn_rng(4, "round"),
             network_params=NetworkParams(), verify_mean_s=VERIFY_MEAN_S,
         )
-        assert outcome is not None and outcome.committed
+        assert outcome.committed
         stages = outcome.stage_times
         assert list(stages) == list(reference.stage_times) == [
             "new-view-1", "new-view-2", "pre-prepare-sent", "prepare-quorum", "commit-quorum",
@@ -196,9 +208,10 @@ class TestViewChangeKernel:
         )
         sim = ElasticoSimulation(params, telemetry=Telemetry(sinks=[ring]))
         committees = sim.form_committees(sim.streams.fork("epoch-0").get("epoch"))
-        from repro.chain.committee import run_intra_consensus_batch
-
-        run_intra_consensus_batch(committees, params, spawn_rng(5, "stage3"), telemetry=sim.telemetry)
+        run_intra_consensus_streaming(
+            committees, params, spawn_rng(5, "stage3"), CrosslinkAggregator(),
+            telemetry=sim.telemetry,
+        )
         view_changed = [
             c for c in committees
             if c.can_reach_quorum and not c.leader.honest and c.des_replay is None
@@ -245,7 +258,6 @@ class TestFallbacks:
         found by search)."""
         net = NetworkParams(jitter_sigma=3.5)
         members = spawn_nodes(count=4, byzantine_fraction=0.0, rng=spawn_rng(1, "m"))
-        assert pbft_round_closed_form(members, spawn_rng(1, "r"), net, 0.05) is None
         ring = RingBufferSink(1024)
         telemetry = Telemetry(sinks=[ring])
         run_pbft_round_fast(
@@ -258,18 +270,22 @@ class TestFallbacks:
 
     def test_explicit_timeout_invalidates_closed_form(self):
         members = spawn_nodes(count=8, byzantine_fraction=0.0, rng=spawn_rng(5, "members"))
-        assert (
-            pbft_round_closed_form(
-                members, spawn_rng(5, "round"), NetworkParams(), VERIFY_MEAN_S,
-                view_change_timeout_s=1e-6,
-            )
-            is None
+        honest = np.array([[node.honest for node in members]])
+        speeds = np.array([[node.verify_speed for node in members]])
+        batch = _pbft_kernel_batch(
+            honest, speeds, spawn_rng(5, "round"), NetworkParams(), VERIFY_MEAN_S,
+            view_change_timeout_s=1e-6,
         )
+        assert not batch.in_time()[0]
+        default = _pbft_kernel_batch(
+            honest, speeds, spawn_rng(5, "round"), NetworkParams(), VERIFY_MEAN_S
+        )
+        assert default.in_time()[0]
 
     def test_too_small_committee_rejected(self):
         members = spawn_nodes(count=3, byzantine_fraction=0.0, rng=spawn_rng(0, "members"))
         with pytest.raises(ValueError):
-            pbft_round_closed_form(members, spawn_rng(0, "round"), NetworkParams(), VERIFY_MEAN_S)
+            run_pbft_round_fast(members, spawn_rng(0, "round"), NetworkParams(), VERIFY_MEAN_S)
 
     def test_run_pbft_dispatch(self):
         members = spawn_nodes(count=4, byzantine_fraction=0.0, rng=spawn_rng(2, "members"))
@@ -286,8 +302,8 @@ class TestFallbacks:
 
 class TestBatchedRounds:
     """Stage 3 on the fastpath engine runs one (K, c, c) kernel call per
-    epoch (run_intra_consensus_batch) plus DES replays for the ineligible
-    committees."""
+    epoch (run_intra_consensus_streaming) plus DES replays for the
+    ineligible committees."""
 
     def test_lossy_epoch_byte_identical_to_des(self):
         """With a lossy network the kernel draws nothing, every committee
@@ -306,10 +322,8 @@ class TestBatchedRounds:
         assert des.randomness == fast.randomness
 
     def test_batch_and_serial_commit_the_same_committees(self):
-        """The batch must stamp blocks on exactly the committees the
-        serial per-round loop would (values differ: independent draws)."""
-        from repro.chain.committee import run_intra_consensus_batch
-
+        """The batch must submit exactly the committees the serial
+        per-round loop commits (values differ: independent draws)."""
         params = ChainParams(num_nodes=480, committee_size=8, seed=11, chain_engine="fastpath")
         sim_a = ElasticoSimulation(params)
         sim_b = ElasticoSimulation(params)
@@ -317,13 +331,17 @@ class TestBatchedRounds:
         rng_b = sim_b.streams.fork("epoch-0").get("epoch")
         committees_a = sim_a.form_committees(rng_a)
         committees_b = sim_b.form_committees(rng_b)
-        serial = [c.run_intra_consensus(params, rng_a) for c in committees_a]
-        serial_blocks = [block for block in serial if block is not None]
-        batch_blocks = run_intra_consensus_batch(committees_b, params, rng_b)
-        assert [b.committee_id for b in batch_blocks] == [b.committee_id for b in serial_blocks]
-        for a, b in zip(serial_blocks, batch_blocks):
+        serial = [c for c in committees_a if c.run_intra_consensus(params, rng_a) is not None]
+        batch = CrosslinkAggregator()
+        submitted = run_intra_consensus_streaming(committees_b, params, rng_b, batch)
+        assert submitted == batch.count == len(serial)
+        assert batch.ids.tolist() == [c.committee_id for c in serial]
+        assert batch.tx_counts.tolist() == [c.shard_tx_count for c in serial]
+        committed = [c for c in committees_b if c.consensus_latency is not None]
+        for a, b, latency in zip(serial, committed, batch.latencies):
             assert a.formation_latency == b.formation_latency
             assert b.consensus_latency > 0.0
+            assert latency == b.formation_latency + b.consensus_latency
 
     def test_batched_consensus_ks_vs_des_measurement(self):
         """End-to-end Fig. 2 consensus samples from the batched fastpath

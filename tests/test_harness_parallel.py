@@ -94,6 +94,29 @@ class TestRunSweep:
         assert SWEEP_FIGURES == ("fig10", "fig11", "fig12", "fig13", "fig14")
 
 
+class TestResolveSweepWorkers:
+    def test_warning_reads_no_file(self, monkeypatch, tmp_path):
+        """The low-core warning is a fixed text: it opens no file (no
+        bench record, nothing relative to the package) and does not
+        depend on the working directory."""
+        expected = resolve_sweep_workers(4, cpu_count=2)
+
+        def no_files(*args, **kwargs):
+            raise AssertionError("resolve_sweep_workers opened a file")
+
+        monkeypatch.setattr("builtins.open", no_files)
+        monkeypatch.setattr("io.open", no_files)
+        monkeypatch.setattr("pathlib.Path.open", no_files)
+        monkeypatch.setattr("pathlib.Path.read_text", no_files)
+        monkeypatch.chdir(tmp_path)
+        assert resolve_sweep_workers(4, cpu_count=2) == expected == (
+            2,
+            "warning: parallel sweep requested 4 workers on a 2-cpu box "
+            "(auto stays serial below 3 cpus); granting 2 — "
+            "use --sweep-workers auto to stay serial here",
+        )
+
+
 class TestCliWiring:
     def args(self, **overrides):
         base = dict(chain_engine=None, parallel=False, sweep_workers=4)
