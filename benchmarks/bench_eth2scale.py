@@ -3,7 +3,7 @@
 Runs the real :func:`repro.harness.eth2scale.run_eth2scale` curve
 (8 192 -> 32 768 -> 131 072 nodes, the top size being ``SHARD_COUNT =
 2**10`` shards of ``MAX_PERIOD_COMMITTEE_SIZE = 2**7`` members) through
-the chunked fastpath kernels and the streaming crosslink aggregator, and
+the chunked fastpath kernels and the flat-array crosslink hand-off, and
 asserts the tentpole budget claims:
 
 * the curve has at least three points (the recorded scaling series);

@@ -1,7 +1,9 @@
 """Committees: the unit of sharded consensus.
 
-A :class:`Committee` groups the nodes elected into one PoW bucket, tracks
-its two-phase latency components, and runs its intra-committee PBFT round.
+A :class:`Committee` groups the nodes elected into one PoW bucket and
+tracks its two-phase latency components.  :func:`run_intra_consensus_streaming`
+runs stage 3 (intra-committee PBFT) for all member committees of an epoch
+and hands the submitted shards to stage 4 as :class:`Crosslinks`.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from repro.chain.fastpath import (
     des_fallback_reason,
     emit_kernel_round,
     kernel_chunk_rows,
-    run_pbft,
 )
 from repro.chain.params import ChainParams
 from repro.chain.network import Network
 from repro.chain.pbft import PbftRound
+from repro.core.problem import n_max_cutoff
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
 from repro.sim.engine import SimulationEngine
 
@@ -70,38 +72,39 @@ class Committee:
         """PBFT liveness: at most f = (size-1)//3 silent members."""
         return self.byzantine_count <= (self.size - 1) // 3
 
-    def run_intra_consensus(
-        self,
-        params: ChainParams,
-        rng: np.random.Generator,
-        verify_mean_s: Optional[float] = None,
-        telemetry: NullTelemetry = NULL_TELEMETRY,
-    ) -> Optional[float]:
-        """Run stage 3 (PBFT); return the consensus latency, ``None`` on a stall.
 
-        The latency is also stamped on :attr:`consensus_latency`.
-        ``verify_mean_s`` defaults to a value calibrated so the expected
-        total consensus latency matches ``params.pbft_mean_total_s``: the
-        round spends roughly two verify delays (prepare + commit votes) and
-        four propagation hops on the critical path.
+@dataclass(frozen=True)
+class Crosslinks:
+    """The stage 3 -> 4 hand-off of an epoch: every submitted shard.
+
+    Three flat arrays in submission (committee) order -- committee id,
+    ``s_i`` and the two-phase ``l_i`` -- which are the features the
+    scheduler needs.  At eth2 scale this replaces ~1024 per-shard
+    :class:`repro.chain.blocks.ShardBlock` objects;
+    :meth:`repro.chain.final.FinalCommittee.run_streaming` builds the
+    MVCom instance from the arrays directly.
+    """
+
+    ids: np.ndarray
+    tx_counts: np.ndarray
+    latencies: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not len(self.ids) == len(self.tx_counts) == len(self.latencies):
+            raise ValueError("ids, tx_counts and latencies must have equal length")
+
+    @property
+    def count(self) -> int:
+        """Number of submitted shards."""
+        return len(self.ids)
+
+    def arrival_positions(self, n_max_fraction: float) -> np.ndarray:
+        """Positions kept by the N_max cutoff (Alg. 1 line 29), fastest-first.
+
+        The sort is stable, so equal latencies keep submission order.
         """
-        if not self.can_reach_quorum:
-            return None  # this committee stalls and never submits
-        if verify_mean_s is None:
-            verify_mean_s = calibrated_verify_mean(params)
-        outcome = run_pbft(
-            params.chain_engine,
-            members=self.members,
-            rng=rng,
-            network_params=params.network,
-            verify_mean_s=verify_mean_s,
-            round_tag=f"epoch{self.epoch}-committee{self.committee_id}",
-            telemetry=telemetry,
-        )
-        if not outcome.committed:
-            return None
-        self.consensus_latency = outcome.latency
-        return self.consensus_latency
+        keep = n_max_cutoff(n_max_fraction, self.count)
+        return np.argsort(self.latencies, kind="stable")[:keep]
 
 
 def _stage3_commit_times(
@@ -111,44 +114,48 @@ def _stage3_commit_times(
     verify_mean_s: Optional[float] = None,
     telemetry: NullTelemetry = NULL_TELEMETRY,
 ) -> List[Committee]:
-    """The shared stage-3 core: chunked batch kernel + DES fallbacks.
+    """Stage 3 on either chain engine: the batch kernel, then DES replays.
 
-    Every committee that reaches quorum on a loss-free network goes
-    through one chunked order-statistics kernel call (committee chunks
-    sized by ``params.max_batch_bytes``; byte-identical at any chunk
-    size) instead of ``K`` per-committee calls.  A committee whose view-0
-    primary is Byzantine runs the kernel's VIEW-CHANGE cascade up to its
-    first honest primary inside the same call.  The reference DES replays
-    only what the closed form cannot cover, afterwards: every committee
-    of a lossy network, and committees whose closed-form commit reaches
-    the timeout of their view.  Committee-vs-committee draw order differs
-    from the serial per-round loop (batch key first, fallbacks second),
-    which is fine because all rounds draw independently; with a lossy
-    network nothing is batch-drawn -- not even the Philox key -- every
-    replay drains its full event queue, and the epoch stays byte-identical
-    to the pure DES.
+    On ``"fastpath"``, every committee that reaches quorum on a loss-free
+    network goes through one chunked order-statistics kernel call (chunks
+    sized by ``params.max_batch_bytes``, byte-identical at any chunk
+    size); Byzantine view-0 primaries run the kernel's VIEW-CHANGE cascade
+    in the same call.  The DES replays, afterwards, what the closed form
+    cannot cover: every committee of a lossy network
+    (:func:`repro.chain.fastpath.des_fallback_reason`, before the draw)
+    and committees whose commit reaches their view's timeout
+    (:meth:`KernelBatch.in_time`, after it) -- the rule a single
+    :func:`repro.chain.fastpath.run_pbft` round follows.  On ``"des"``,
+    every quorate committee is replayed with reason ``None``: the DES is
+    the engine, not a fallback, so there is no ``chain.fastpath.fallback``
+    event and no ``des_replay`` stamp.
+
+    A replay drains its event queue (the residual tail consumes
+    randomness) unless its reason is ``view-change-timeout``, which is
+    distributional-only and stops at the primary's commit.  DES-engine
+    epochs and lossy epochs -- where the kernel draws nothing, not even
+    its key -- are therefore byte-identical to a pure DES run.
 
     Stamps ``consensus_latency`` on each committing committee (and
-    ``des_replay`` on each replayed one) and returns the committing
-    committees in committee order.  Which rounds take the closed form is
-    decided by :func:`repro.chain.fastpath.des_fallback_reason` before the
-    draw and :meth:`KernelBatch.in_time` after it -- the same rule a
-    single :func:`repro.chain.fastpath.run_pbft_round_fast` round follows.
+    ``des_replay`` on each fallback) and returns the committing
+    committees in committee order.
     """
     if verify_mean_s is None:
         verify_mean_s = calibrated_verify_mean(params)
-    lossy = params.network.loss_probability > 0.0
+    kernel = params.chain_engine == "fastpath"
 
     eligible: List[Committee] = []
-    fallbacks: List[Tuple[Committee, str]] = []
+    replays: List[Tuple[Committee, Optional[str]]] = []
     for committee in committees:
         if not committee.can_reach_quorum:
-            continue  # stalls without consuming randomness, like the serial path
-        reason = des_fallback_reason(committee.size, committee.honest_count, params.network)
-        if reason is None:
-            eligible.append(committee)
-        else:
-            fallbacks.append((committee, reason))
+            continue  # stalls without consuming randomness
+        reason = None
+        if kernel:
+            reason = des_fallback_reason(committee.size, committee.honest_count, params.network)
+            if reason is None:
+                eligible.append(committee)
+                continue
+        replays.append((committee, reason))
 
     if eligible:
         honest = np.array(
@@ -180,7 +187,7 @@ def _stage3_commit_times(
         in_time = batch.in_time()
         for k, committee in enumerate(eligible):
             if not in_time[k]:
-                fallbacks.append((committee, "view-change-timeout"))
+                replays.append((committee, "view-change-timeout"))
                 continue
             committee.consensus_latency = float(batch.commit[k])
             if telemetry.enabled:
@@ -192,11 +199,12 @@ def _stage3_commit_times(
                     committee.size,
                 )
 
-    for committee, reason in fallbacks:
-        committee.des_replay = reason
+    for committee, reason in replays:
         round_tag = f"epoch{committee.epoch}-committee{committee.committee_id}"
-        if telemetry.enabled:
-            telemetry.event("chain.fastpath.fallback", tag=round_tag, reason=reason)
+        if reason is not None:
+            committee.des_replay = reason
+            if telemetry.enabled:
+                telemetry.event("chain.fastpath.fallback", tag=round_tag, reason=reason)
         engine = SimulationEngine(telemetry=telemetry)
         pbft = PbftRound(
             engine=engine,
@@ -208,19 +216,13 @@ def _stage3_commit_times(
             telemetry=telemetry,
         )
         outcome = pbft.outcome
-        if lossy:
-            # Byte-identity with the pure DES epoch requires draining the
-            # whole event queue (the residual tail consumes randomness).
-            engine.run()
-        else:
-            # Timeout replays are distributional-only, so stop at the
-            # primary's commit instead of processing the residual event
-            # tail (late commit deliveries, stale timers).
+        if reason == "view-change-timeout":
             while not outcome.committed and engine.step():
                 pass
-        if not outcome.committed:
-            continue
-        committee.consensus_latency = outcome.latency
+        else:
+            engine.run()
+        if outcome.committed:
+            committee.consensus_latency = outcome.latency
 
     return [c for c in committees if c.consensus_latency is not None]
 
@@ -229,37 +231,30 @@ def run_intra_consensus_streaming(
     committees: Sequence[Committee],
     params: ChainParams,
     rng: np.random.Generator,
-    sink,
     verify_mean_s: Optional[float] = None,
     telemetry: NullTelemetry = NULL_TELEMETRY,
-) -> int:
-    """Stage 3 that folds submissions straight into a crosslink sink.
+) -> Crosslinks:
+    """Stage 3 of an epoch on either chain engine, as :class:`Crosslinks`.
 
-    The ``fastpath`` engine's stage 3 (see :func:`_stage3_commit_times`
-    for the kernel/fallback semantics).  Extends ``sink`` -- any object
-    with an ``extend(ids, tx_counts, latencies)`` method, canonically
-    :class:`repro.chain.final.CrosslinkAggregator` -- with three flat
-    arrays in committee order: committee id, ``s_i`` and the two-phase
-    ``l_i``.  At eth2 scale this keeps the stage 3 -> 4 hand-off at three
-    arrays instead of ~1024 per-shard Python objects.  Returns the number
-    of submitted shards.
+    Runs :func:`_stage3_commit_times` (see it for the kernel / DES
+    semantics) and returns the committed shards' committee id, ``s_i``
+    and two-phase ``l_i`` in committee order.
     """
     committed = _stage3_commit_times(
         committees, params, rng, verify_mean_s=verify_mean_s, telemetry=telemetry
     )
-    if committed:
-        count = len(committed)
-        ids = np.fromiter((c.committee_id for c in committed), dtype=np.int64, count=count)
-        tx_counts = np.fromiter(
+    count = len(committed)
+    return Crosslinks(
+        ids=np.fromiter((c.committee_id for c in committed), dtype=np.int64, count=count),
+        tx_counts=np.fromiter(
             (c.shard_tx_count for c in committed), dtype=np.int64, count=count
-        )
-        latencies = np.fromiter(
+        ),
+        latencies=np.fromiter(
             (c.formation_latency + c.consensus_latency for c in committed),
             dtype=np.float64,
             count=count,
-        )
-        sink.extend(ids, tx_counts, latencies)
-    return len(committed)
+        ),
+    )
 
 
 def calibrated_verify_mean(params: ChainParams) -> float:

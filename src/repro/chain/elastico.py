@@ -2,22 +2,28 @@
 
 One :meth:`ElasticoSimulation.run_epoch` call executes:
 
-1. **Committee formation** -- the PoW election race (:mod:`repro.chain.pow`);
+1. **Committee formation** -- the PoW election race;
 2. **Overlay configuration** -- serial identity registration + membership
-   gossip (:mod:`repro.chain.overlay`); formation latency =
-   committee-fill time + overlay time, which is what Fig. 2 measures;
+   gossip; formation latency = committee-fill time + overlay time, which
+   is what Fig. 2 measures.  Stages 1-2 run as the vectorized
+   :func:`repro.chain.fastpath.formation_kernel` on both chain engines;
+   :mod:`repro.chain.pow` and :mod:`repro.chain.overlay` are the scalar
+   reference it is byte-identical to;
 3. **Intra-committee consensus** -- a PBFT round per committee
-   (:mod:`repro.chain.pbft`);
+   (:func:`repro.chain.committee.run_intra_consensus_streaming`);
 4. **Final consensus** -- the final committee schedules shards (MVCom or a
    baseline) and seals the final block (:mod:`repro.chain.final`);
 5. **Epoch randomness refreshing** -- commit-reveal seed for the next epoch
    (:mod:`repro.chain.randomness`).
+
+Both chain engines run this same epoch body; ``ChainParams.chain_engine``
+only decides how a PBFT round is computed (closed-form kernel or DES).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,16 +36,13 @@ from repro.chain.committee import (
 )
 from repro.chain.fastpath import formation_kernel
 from repro.chain.final import (
-    CrosslinkAggregator,
     FinalCommittee,
     FinalConsensusResult,
     SchedulerFn,
     take_everything,
 )
 from repro.chain.node import Node, spawn_nodes
-from repro.chain.overlay import run_overlay_configuration
 from repro.chain.params import ChainParams
-from repro.chain.pow import committee_fill_times, committee_members, run_pow_election
 from repro.chain.randomness import GENESIS_RANDOMNESS, refresh_randomness
 from repro.core.problem import MVComConfig
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
@@ -94,10 +97,7 @@ class ElasticoSimulation:
         mvcom_config: Optional[MVComConfig] = None,
         scheduler: Optional[SchedulerFn] = None,
         telemetry: NullTelemetry = NULL_TELEMETRY,
-        chain_engine: Optional[str] = None,
     ) -> None:
-        if chain_engine is not None and chain_engine != params.chain_engine:
-            params = replace(params, chain_engine=chain_engine)
         self.params = params
         #: Injected hub (rule MV007), threaded into every PBFT round and the
         #: final-consensus stage; each epoch also emits one ``chain.epoch``.
@@ -125,40 +125,24 @@ class ElasticoSimulation:
     def form_committees(self, rng: np.random.Generator) -> List[Committee]:
         """Stages 1-2: PoW election + overlay configuration.
 
-        The ``fastpath`` engine runs the vectorized formation kernel,
-        which consumes the RNG stream identically to the reference path
-        and produces byte-identical committees.
+        Runs the vectorized :func:`repro.chain.fastpath.formation_kernel`
+        on both chain engines; it consumes the RNG stream exactly like the
+        scalar reference (:mod:`repro.chain.pow`,
+        :mod:`repro.chain.overlay`) and produces byte-identical committees.
         """
         params = self.params
-        if params.chain_engine == "fastpath":
-            fills, members, overlay_times = formation_kernel(
-                nodes=self.nodes,
-                num_committees=params.num_committees,
-                committee_size=params.committee_size,
-                mean_solve_s=params.pow_mean_solve_s,
-                epoch_randomness=self.randomness,
-                registration_rate=params.identity_registration_rate,
-                rng=rng,
-                solve_scales=self._solve_scales,
-                node_ids=self._node_id_array,
-                max_batch_bytes=params.max_batch_bytes,
-            )
-        else:
-            solutions = run_pow_election(
-                nodes=self.nodes,
-                num_committees=params.num_committees,
-                mean_solve_s=params.pow_mean_solve_s,
-                epoch_randomness=self.randomness,
-                rng=rng,
-            )
-            fills = committee_fill_times(solutions, params.num_committees, params.committee_size)
-            members = committee_members(solutions, params.num_committees, params.committee_size)
-            overlay_times = run_overlay_configuration(
-                solutions=solutions,
-                members=members,
-                registration_rate=params.identity_registration_rate,
-                rng=rng,
-            ).committee_overlay_time
+        fills, members, overlay_times = formation_kernel(
+            nodes=self.nodes,
+            num_committees=params.num_committees,
+            committee_size=params.committee_size,
+            mean_solve_s=params.pow_mean_solve_s,
+            epoch_randomness=self.randomness,
+            registration_rate=params.identity_registration_rate,
+            rng=rng,
+            solve_scales=self._solve_scales,
+            node_ids=self._node_id_array,
+            max_batch_bytes=params.max_batch_bytes,
+        )
         nodes_by_id = self._nodes_by_id
         committees = []
         for committee_id, node_ids in sorted(members.items()):
@@ -230,9 +214,9 @@ class ElasticoSimulation:
     ) -> Tuple[List[Committee], StreamingEpochOutcome]:
         """The epoch body behind :meth:`run_epoch` and :meth:`run_epoch_streaming`.
 
-        Stage 3 folds every committed shard into a
-        :class:`CrosslinkAggregator`, and stage 4 schedules from it with
-        :meth:`FinalCommittee.run_streaming`.
+        Stage 3 hands every committed shard to stage 4 as
+        :class:`repro.chain.committee.Crosslinks`, and stage 4 schedules
+        from them with :meth:`FinalCommittee.run_streaming`.
         """
         rng = self.streams.fork(f"epoch-{self.epoch}").get("epoch")
         committees = self.form_committees(rng)
@@ -252,24 +236,11 @@ class ElasticoSimulation:
 
         # Stage 3: every member committee (all but the final one) runs PBFT
         # and submits its shard (id, s_i, two-phase l_i) in committee order.
-        # The fastpath engine batches all eligible committees into one
-        # kernel call; the DES runs them one round at a time.
         member_committees = committees[:-1] if len(committees) > 1 else committees
         final_seat = committees[-1]
-        aggregator = CrosslinkAggregator(capacity_hint=len(member_committees))
-        if self.params.chain_engine == "fastpath":
-            run_intra_consensus_streaming(
-                member_committees, self.params, rng, aggregator, telemetry=self.telemetry
-            )
-        else:
-            for committee in member_committees:
-                latency = committee.run_intra_consensus(self.params, rng, telemetry=self.telemetry)
-                if latency is not None:
-                    aggregator.add(
-                        committee.committee_id,
-                        committee.shard_tx_count,
-                        committee.formation_latency + latency,
-                    )
+        crosslinks = run_intra_consensus_streaming(
+            member_committees, self.params, rng, telemetry=self.telemetry
+        )
 
         # Stage 4: final consensus with the configured scheduler.
         final_result = FinalCommittee(
@@ -277,7 +248,7 @@ class ElasticoSimulation:
             params=self.params,
             mvcom_config=self.mvcom_config,
             scheduler=self.scheduler,
-        ).run_streaming(aggregator, self.chain, self.randomness, rng, telemetry=self.telemetry)
+        ).run_streaming(crosslinks, self.chain, self.randomness, rng, telemetry=self.telemetry)
 
         # Commit: permitted shards' transactions leave the mempool (the
         # final committee first re-checks cross-shard disjointness).
@@ -305,7 +276,7 @@ class ElasticoSimulation:
         outcome = StreamingEpochOutcome(
             epoch=self.epoch,
             num_committees=len(committees),
-            shards_submitted=aggregator.count,
+            shards_submitted=crosslinks.count,
             final=final_result,
             randomness=self.randomness,
             formation_latencies={c.committee_id: c.formation_latency for c in committees},

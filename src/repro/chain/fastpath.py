@@ -7,7 +7,10 @@ O(c^2) Python lambdas per PBFT stage.  This module computes the same
 round latency in closed form with numpy order statistics, in the same
 reference-vs-optimized discipline as :mod:`repro.core.engine` (the DES
 stays ground truth; the fast path is validated distributionally with
-per-size KS tests in ``tests/test_chain_fastpath.py``).
+per-size KS tests in ``tests/test_chain_fastpath.py``).  Both chain
+engines run the same epoch body; ``ChainParams.chain_engine`` is read
+only where a PBFT round is computed -- :func:`run_pbft` for one round and
+:func:`repro.chain.committee._stage3_commit_times` for an epoch's stage 3.
 
 **PBFT kernel.**  On a loss-free network whose honest members reach
 quorum, the DES round is a deterministic function of its random inputs,
@@ -59,15 +62,16 @@ stacks every closed-form-eligible committee -- honest and Byzantine view-0
 primaries alike -- into a single kernel call (:func:`_pbft_kernel_batch`)
 instead of ``K`` small-matrix calls; the per-call numpy dispatch overhead
 dominates at ``c = 8``, and at ``c = 128`` a DES replay costs ~40k
-``Network.send`` calls.  The batch draws
-one 128-bit Philox key from the shared stream (a fixed two-``uint64``
-consumption, whatever the batch shape) and replays the ineligible
-committees under the DES afterwards; committee-vs-committee draw *order*
-therefore differs from the one-round-at-a-time path, which is immaterial
-because the draws are independent (the per-size KS tests cover both entry
-points).  With a lossy network nothing is drawn by the kernel at all --
-not even the key -- so a fully-fallback epoch stays byte-identical to the
-pure DES epoch.
+``Network.send`` calls.  The batch draws one 128-bit Philox key from the
+shared stream (a fixed two-``uint64`` consumption, whatever the batch
+shape) and replays the ineligible committees under the DES afterwards;
+committee-vs-committee draw *order* therefore differs from one round at a
+time, which is immaterial because the draws are independent (the per-size
+KS tests cover both entry points).  The DES engine goes through the same
+function with no kernel call: every quorate committee is replayed, in
+committee order.  With a lossy network the kernel draws nothing either --
+not even the key -- so a lossy fastpath epoch stays byte-identical to the
+DES-engine epoch.
 
 **Chunked streaming.**  At eth2 scale (``K = 1024`` committees of
 ``c = 128``) a monolithic batch would materialise several ``(K, c, c)``
@@ -101,10 +105,13 @@ the two ``(K, c, c)`` tensors gone outright.
 
 **Formation kernel.**  Stages 1-2 (PoW election + overlay configuration)
 contain no event interleaving at all, so their vectorization is
-*byte-identical* to the DES path: the same ``rng.exponential`` block
-draw for solve times, grouped order statistics for fill times and
-membership, a prefix-maximum recurrence for the serial registration
-queue, and one gossip block draw in committee-index order.
+*byte-identical* to the scalar reference in :mod:`repro.chain.pow` and
+:mod:`repro.chain.overlay`: the same ``rng.exponential`` block draw for
+solve times, grouped order statistics for fill times and membership, a
+prefix-maximum recurrence for the serial registration queue, and one
+gossip block draw in committee-index order.  Both chain engines form
+committees with this kernel; the scalar path is kept as the reference the
+byte-identity tests compare against.
 """
 
 from __future__ import annotations
@@ -480,7 +487,7 @@ def des_fallback_reason(
     """Why a round must run on the DES instead of the kernel, or ``None``.
 
     The pre-draw half of the closed-form rule, shared by single rounds
-    (:func:`run_pbft_round_fast`) and batched stage 3
+    (:func:`run_pbft`) and batched stage 3
     (:func:`repro.chain.committee.run_intra_consensus_streaming`); the
     post-draw half is :meth:`KernelBatch.in_time`.  Nothing here consumes
     randomness, so a round that falls back here replays the DES from the
@@ -495,49 +502,6 @@ def des_fallback_reason(
     return None
 
 
-def run_pbft_round_fast(
-    members: Sequence[Node],
-    rng: np.random.Generator,
-    network_params: NetworkParams,
-    verify_mean_s: float,
-    round_tag: str = "round-0",
-    telemetry: NullTelemetry = NULL_TELEMETRY,
-) -> PbftOutcome:
-    """One PBFT round on the fast path, DES fallback when invalid.
-
-    A fallback runs :func:`repro.chain.pbft.run_pbft_round`, which drains
-    the whole event queue: the caller's stream position afterwards is the
-    pure DES's (after a timeout fallback, plus the kernel's key draw).
-    """
-    honest = np.array([node.honest for node in members], dtype=bool)
-    reason = des_fallback_reason(len(members), int(honest.sum()), network_params)
-    if reason is None:
-        speeds = np.array([node.verify_speed for node in members])
-        batch = _pbft_kernel_batch(
-            honest[None, :], speeds[None, :], rng, network_params, verify_mean_s
-        )
-        if batch.in_time()[0]:
-            emit_kernel_round(telemetry, round_tag, batch, 0, len(members))
-            return PbftOutcome(
-                committed=True,
-                start_time=0.0,
-                commit_time=float(batch.commit[0]),
-                stage_times=batch.stage_times(0),
-            )
-        # The DES would fire the next view change before this commit.
-        reason = "view-change-timeout"
-    if telemetry.enabled:
-        telemetry.event("chain.fastpath.fallback", tag=round_tag, reason=reason)
-    return run_pbft_round(
-        members=members,
-        rng=rng,
-        network_params=network_params,
-        verify_mean_s=verify_mean_s,
-        round_tag=round_tag,
-        telemetry=telemetry,
-    )
-
-
 def run_pbft(
     chain_engine: str,
     members: Sequence[Node],
@@ -547,9 +511,36 @@ def run_pbft(
     round_tag: str = "round-0",
     telemetry: NullTelemetry = NULL_TELEMETRY,
 ) -> PbftOutcome:
-    """Engine dispatch for one PBFT round (``"des"`` | ``"fastpath"``)."""
-    runner = run_pbft_round_fast if chain_engine == "fastpath" else run_pbft_round
-    return runner(
+    """One PBFT round on ``chain_engine`` (``"des"`` | ``"fastpath"``).
+
+    ``"des"`` runs :func:`repro.chain.pbft.run_pbft_round`.  ``"fastpath"``
+    takes the closed form when it holds and otherwise emits a
+    ``chain.fastpath.fallback`` event and runs the same DES round, which
+    drains the whole event queue: the caller's stream position afterwards
+    is the pure DES's (after a timeout fallback, plus the kernel's key
+    draw).
+    """
+    if chain_engine == "fastpath":
+        honest = np.array([node.honest for node in members], dtype=bool)
+        reason = des_fallback_reason(len(members), int(honest.sum()), network_params)
+        if reason is None:
+            speeds = np.array([node.verify_speed for node in members])
+            batch = _pbft_kernel_batch(
+                honest[None, :], speeds[None, :], rng, network_params, verify_mean_s
+            )
+            if batch.in_time()[0]:
+                emit_kernel_round(telemetry, round_tag, batch, 0, len(members))
+                return PbftOutcome(
+                    committed=True,
+                    start_time=0.0,
+                    commit_time=float(batch.commit[0]),
+                    stage_times=batch.stage_times(0),
+                )
+            # The DES would fire the next view change before this commit.
+            reason = "view-change-timeout"
+        if telemetry.enabled:
+            telemetry.event("chain.fastpath.fallback", tag=round_tag, reason=reason)
+    return run_pbft_round(
         members=members,
         rng=rng,
         network_params=network_params,

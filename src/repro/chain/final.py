@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.analysis.contracts import sane_instance
 from repro.chain.blocks import FinalBlock, RootChain, _hash_payload
-from repro.chain.committee import Committee, calibrated_verify_mean
+from repro.chain.committee import Committee, Crosslinks, calibrated_verify_mean
 from repro.chain.fastpath import run_pbft
 from repro.chain.params import ChainParams
 from repro.core.problem import EpochInstance, MVComConfig
@@ -44,90 +44,6 @@ def take_everything(instance: EpochInstance) -> np.ndarray:
     return mask
 
 
-class CrosslinkAggregator:
-    """Memory-bounded fold of submitted shards into the MVCom instance.
-
-    The only stage 3 -> 4 hand-off of an epoch.  It keeps the three
-    features the scheduler needs (committee id, ``s_i``, two-phase
-    ``l_i``) in running numpy arrays with amortised-doubling growth
-    instead of one :class:`repro.chain.blocks.ShardBlock` per shard
-    (~1024 at eth2 scale), accepting per-shard :meth:`add` calls from the
-    DES engine's round-at-a-time loop or whole-batch :meth:`extend` calls
-    from :func:`repro.chain.committee.run_intra_consensus_streaming`, and
-    feeds :meth:`FinalCommittee.run_streaming` directly.
-    """
-
-    def __init__(self, capacity_hint: int = 256) -> None:
-        hint = max(int(capacity_hint), 1)
-        self._ids = np.empty(hint, dtype=np.int64)
-        self._tx_counts = np.empty(hint, dtype=np.int64)
-        self._latencies = np.empty(hint, dtype=np.float64)
-        self._count = 0
-
-    def _reserve(self, extra: int) -> None:
-        needed = self._count + extra
-        if needed <= self._ids.shape[0]:
-            return
-        new_size = max(needed, 2 * self._ids.shape[0])
-        for name in ("_ids", "_tx_counts", "_latencies"):
-            grown = np.empty(new_size, dtype=getattr(self, name).dtype)
-            grown[: self._count] = getattr(self, name)[: self._count]
-            setattr(self, name, grown)
-
-    def add(self, committee_id: int, tx_count: int, latency: float) -> None:
-        """Fold in one submitted shard (arrival order = submission order)."""
-        self._reserve(1)
-        self._ids[self._count] = committee_id
-        self._tx_counts[self._count] = tx_count
-        self._latencies[self._count] = latency
-        self._count += 1
-
-    def extend(
-        self,
-        ids: np.ndarray,
-        tx_counts: np.ndarray,
-        latencies: np.ndarray,
-    ) -> None:
-        """Fold in a batch of submitted shards (the streaming-sink protocol)."""
-        extra = len(ids)
-        if not (len(tx_counts) == extra and len(latencies) == extra):
-            raise ValueError("ids, tx_counts and latencies must have equal length")
-        self._reserve(extra)
-        stop = self._count + extra
-        self._ids[self._count : stop] = ids
-        self._tx_counts[self._count : stop] = tx_counts
-        self._latencies[self._count : stop] = latencies
-        self._count = stop
-
-    @property
-    def count(self) -> int:
-        """Number of shards folded in so far."""
-        return self._count
-
-    @property
-    def ids(self) -> np.ndarray:
-        """Committee ids in submission order (view, do not mutate)."""
-        return self._ids[: self._count]
-
-    @property
-    def tx_counts(self) -> np.ndarray:
-        """Per-shard ``s_i`` in submission order (view, do not mutate)."""
-        return self._tx_counts[: self._count]
-
-    @property
-    def latencies(self) -> np.ndarray:
-        """Per-shard two-phase ``l_i`` in submission order (view)."""
-        return self._latencies[: self._count]
-
-    def arrival_positions(self, n_max_fraction: float) -> np.ndarray:
-        """Positions kept by the N_max cutoff (Alg. 1 line 29), fastest-first.
-
-        The sort is stable, so equal latencies keep submission order.
-        """
-        count = max(1, int(np.floor(n_max_fraction * self._count)))
-        return np.argsort(self.latencies, kind="stable")[:count]
-
-
 @sane_instance
 def _instance_from_arrays(
     tx_counts: np.ndarray,
@@ -138,7 +54,7 @@ def _instance_from_arrays(
     """Array-native :func:`repro.core.problem.build_instance` equivalent.
 
     Same ``REPRO_CONTRACTS`` validation, no per-shard object hop: the
-    aggregator's arrays become the instance's arrays directly.
+    crosslink arrays become the instance's arrays directly.
     """
     return EpochInstance(
         tx_counts=tx_counts,
@@ -178,7 +94,7 @@ class FinalCommittee:
 
     def run_streaming(
         self,
-        aggregator: CrosslinkAggregator,
+        crosslinks: Crosslinks,
         chain: RootChain,
         randomness: str,
         rng: np.random.Generator,
@@ -186,21 +102,21 @@ class FinalCommittee:
     ) -> Optional[FinalConsensusResult]:
         """Execute stage 4: schedule shards, run final PBFT, append the block.
 
-        Applies the N_max listening cutoff to the aggregator's submissions
-        (:meth:`CrosslinkAggregator.arrival_positions`), builds the
-        instance from its arrays directly, and recomputes the permitted
-        shard hashes from ``(id, epoch, tx_count)`` -- the preimage a
-        :class:`repro.chain.blocks.ShardBlock` hashes -- for the permitted positions only.
-        Returns ``None`` when nothing was submitted or the final round
-        stalls.
+        Applies the N_max listening cutoff to the submitted shards
+        (:meth:`repro.chain.committee.Crosslinks.arrival_positions`), builds
+        the instance from their arrays directly, and recomputes the
+        permitted shard hashes from ``(id, epoch, tx_count)`` -- the
+        preimage a :class:`repro.chain.blocks.ShardBlock` hashes -- for the
+        permitted positions only.  Returns ``None`` when nothing was
+        submitted or the final round stalls.
         """
-        if aggregator.count == 0:
+        if crosslinks.count == 0:
             return None
-        keep = aggregator.arrival_positions(self.mvcom_config.n_max_fraction)
-        tx_counts = aggregator.tx_counts[keep]
-        shard_ids = aggregator.ids[keep]
+        keep = crosslinks.arrival_positions(self.mvcom_config.n_max_fraction)
+        tx_counts = crosslinks.tx_counts[keep]
+        shard_ids = crosslinks.ids[keep]
         instance = _instance_from_arrays(
-            tx_counts, aggregator.latencies[keep], shard_ids, self.mvcom_config
+            tx_counts, crosslinks.latencies[keep], shard_ids, self.mvcom_config
         )
         epoch = self.committee.epoch
 

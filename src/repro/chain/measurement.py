@@ -11,7 +11,7 @@ randomly distributed within a band.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -60,19 +60,16 @@ def measure_two_phase_latency(
     base_params: ChainParams,
     network_sizes: Sequence[int],
     epochs_per_size: int = 1,
-    chain_engine: Optional[str] = None,
 ) -> List[TwoPhaseMeasurement]:
     """Run the Elastico substrate at each network size and collect latencies.
 
-    ``chain_engine`` overrides ``base_params.chain_engine`` when given
-    (``"des"`` reference simulation or the ``"fastpath"`` closed-form
-    kernel; see :mod:`repro.chain.fastpath`).
+    The chain engine is ``base_params.chain_engine`` (``"des"`` reference
+    simulation or the ``"fastpath"`` closed-form kernel; see
+    :mod:`repro.chain.fastpath`).
     """
     measurements = []
     for num_nodes in network_sizes:
         params = replace(base_params, num_nodes=int(num_nodes))
-        if chain_engine is not None:
-            params = replace(params, chain_engine=chain_engine)
         simulation = ElasticoSimulation(params)
         formation: List[float] = []
         consensus: List[float] = []

@@ -64,13 +64,15 @@ class ChainParams:
     byzantine_fraction:
         Fraction of Byzantine nodes (must stay < 1/3 for PBFT liveness).
     chain_engine:
-        Execution engine for the chain substrate: ``"des"`` runs the
-        reference discrete-event simulation; ``"fastpath"`` computes round
-        latencies in closed form via :mod:`repro.chain.fastpath` (numpy
-        order statistics, view changes after Byzantine primaries
-        included), falling back to the DES per committee whenever the
-        closed form is invalid (lossy network, no quorum, a commit at the
-        view's timeout).
+        How PBFT rounds are computed; the rest of the epoch is the same on
+        both engines, and committee formation is the same vectorized
+        kernel (byte-identical to the scalar PoW/overlay reference).
+        ``"des"`` runs every round on the reference discrete-event
+        simulation; ``"fastpath"`` computes round latencies in closed form
+        via :mod:`repro.chain.fastpath` (numpy order statistics, view
+        changes after Byzantine primaries included), falling back to the
+        DES per committee whenever the closed form is invalid (lossy
+        network, no quorum, a commit at the view's timeout).
     max_batch_bytes:
         Scratch-byte budget for the chunked fastpath kernels (PBFT batch
         and formation).  Each batched kernel call splits its committee or

@@ -29,7 +29,9 @@ records whether the relaxation was applied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -285,6 +287,18 @@ def carry_over_latency(latency: float, previous_ddl: float, floor: float = 1.0) 
     if floor <= 0:
         raise ValueError("floor must be positive")
     return max(float(latency) - float(previous_ddl), floor)
+
+
+def n_max_cutoff(n_max_fraction: float, arrivals: int) -> int:
+    """Arrivals the :math:`N_{max}` rule keeps: ``max(1, floor(N_max * arrivals))``.
+
+    The product is taken in the fraction's decimal value: ``0.29`` is
+    stored as ``0.28999...`` in binary, so flooring the float product
+    would keep 28 of 100 arrivals instead of 29.  The fraction is read
+    back from its shortest round-trip repr and multiplied exactly.
+    """
+    exact = Fraction(str(float(n_max_fraction))) * int(arrivals)
+    return max(1, math.floor(exact))
 
 
 @sane_instance

@@ -68,8 +68,7 @@ class SEConfig:
     :math:`f_n` each replica instantiates (the feasible cardinality range
     is subsampled evenly when wider); ``None`` means one per feasible
     cardinality, exactly as in Alg. 1.  ``pair_tries`` bounds the rejection
-    sampling used to find a capacity-feasible swap pair in Set-timer();
-    ``init_tries`` bounds Alg. 2's "re-pick until Cons. (4) holds" loop.
+    sampling used to find a capacity-feasible swap pair in Set-timer().
 
     ``engine`` selects the execution engine (:mod:`repro.core.engine`):
     the default ``"auto"`` resolves per solve via
@@ -90,7 +89,6 @@ class SEConfig:
     tolerance: float = 1e-9
     seed: int = 0
     pair_tries: int = 16
-    init_tries: int = 200
     include_full_solution: bool = True
     max_solution_threads: Optional[int] = 64
     engine: str = "auto"
@@ -103,8 +101,8 @@ class SEConfig:
             raise ValueError("num_threads (Gamma) must be positive")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.pair_tries <= 0 or self.init_tries <= 0:
-            raise ValueError("retry budgets must be positive")
+        if self.pair_tries <= 0:
+            raise ValueError("pair_tries must be positive")
         if self.max_solution_threads is not None and self.max_solution_threads <= 0:
             raise ValueError("max_solution_threads must be positive or None")
         # Mirrors repro.core.engine.SELECTABLE_ENGINES (engine imports se,

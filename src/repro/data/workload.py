@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.dynamics import DynamicSchedule, consecutive_join_schedule
-from repro.core.problem import EpochInstance, MVComConfig, build_instance
+from repro.core.problem import EpochInstance, MVComConfig, build_instance, n_max_cutoff
 from repro.data.bitcoin import BitcoinBlock, BitcoinTraceConfig, generate_bitcoin_trace
 from repro.data.latency import TwoPhaseLatencyModel
 from repro.data.shards import ShardRecord, build_shards
@@ -100,7 +100,7 @@ def arrived_shards(shards: Sequence[ShardRecord], n_max_fraction: float) -> List
     """
     if not 0 < n_max_fraction <= 1:
         raise ValueError("n_max_fraction must lie in (0, 1]")
-    count = max(1, int(np.floor(n_max_fraction * len(shards))))
+    count = n_max_cutoff(n_max_fraction, len(shards))
     return sorted(shards, key=lambda shard: shard.latency)[:count]
 
 

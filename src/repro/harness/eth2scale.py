@@ -6,8 +6,8 @@ run_epoch_streaming`) per network size and records the scaling curve
 at the beacon-chain shape -- ``SHARD_COUNT = 2**10`` shards of
 ``MAX_PERIOD_COMMITTEE_SIZE = 2**7`` members, i.e. 131 072 validators --
 which the chunked fastpath kernels (:mod:`repro.chain.fastpath`) and the
-memory-bounded crosslink aggregator (:mod:`repro.chain.final`) keep under
-a 2 GiB peak-RSS budget.
+flat-array stage 3 -> 4 hand-off (:class:`repro.chain.committee.Crosslinks`)
+keep under a 2 GiB peak-RSS budget.
 
 Wall clocks and ``getrusage`` live here legitimately: the harness sits
 outside the replayable packages (rule MV002 scopes ``repro.chain`` /

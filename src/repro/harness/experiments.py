@@ -7,6 +7,7 @@ all consume the same artifacts.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -136,11 +137,12 @@ def run_fig02_two_phase_latency(
         committee_size=int(preset.extras["committee_size"]),
         seed=preset.seeds[0],
     )
+    if chain_engine is not None:
+        params = replace(params, chain_engine=chain_engine)
     measurements = measure_two_phase_latency(
         params,
         sizes,
         epochs_per_size=int(preset.extras["epochs_per_size"]),
-        chain_engine=chain_engine,
     )
     fit = linear_growth_check(measurements)
     cdf_size = int(preset.extras["cdf_network_size"])

@@ -9,8 +9,8 @@ The tentpole claims under test:
 * chunking bounds peak scratch memory (tracemalloc, which tracks numpy's
   allocator);
 * the streaming epoch (:meth:`ElasticoSimulation.run_epoch_streaming` +
-  :class:`CrosslinkAggregator`) is the :meth:`ElasticoSimulation.run_epoch`
-  epoch byte for byte, on either chain engine;
+  :class:`Crosslinks`) is the :meth:`ElasticoSimulation.run_epoch` epoch
+  byte for byte, on either chain engine;
 * the ``eth2scale`` preset / CLI verb exist and run at toy scale.
 """
 
@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.chain import fastpath
+from repro.chain.committee import Crosslinks
 from repro.chain.elastico import ElasticoSimulation
 from repro.chain.fastpath import (
     _pbft_kernel_batch,
@@ -28,7 +29,6 @@ from repro.chain.fastpath import (
     kernel_bytes_per_committee,
     kernel_chunk_rows,
 )
-from repro.chain.final import CrosslinkAggregator
 from repro.chain.params import ChainParams, NetworkParams
 from repro.harness.presets import PRESETS
 from repro.obs.sinks import RingBufferSink
@@ -191,29 +191,22 @@ class TestStreamingEpoch:
         assert event["chunks"] == -(-event["committees"] // event["chunk_rows"])
 
 
-class TestCrosslinkAggregator:
-    def test_add_extend_and_views(self):
-        aggregator = CrosslinkAggregator(capacity_hint=2)
-        aggregator.add(5, 1400, 600.5)
-        aggregator.extend(
-            np.array([7, 9]), np.array([100, 200]), np.array([700.0, 650.0])
+class TestCrosslinks:
+    def test_arrays_and_arrival_positions(self):
+        crosslinks = Crosslinks(
+            ids=np.array([5, 7, 9]),
+            tx_counts=np.array([1400, 100, 200]),
+            latencies=np.array([600.5, 700.0, 650.0]),
         )
-        assert aggregator.count == 3
-        np.testing.assert_array_equal(aggregator.ids, [5, 7, 9])
-        np.testing.assert_array_equal(aggregator.tx_counts, [1400, 100, 200])
+        assert crosslinks.count == 3
+        np.testing.assert_array_equal(crosslinks.ids, [5, 7, 9])
+        np.testing.assert_array_equal(crosslinks.tx_counts, [1400, 100, 200])
         # N_max cutoff keeps the fastest arrivals, stable order.
-        np.testing.assert_array_equal(aggregator.arrival_positions(0.8), [0, 2])
+        np.testing.assert_array_equal(crosslinks.arrival_positions(0.8), [0, 2])
 
-    def test_extend_validates_lengths(self):
-        aggregator = CrosslinkAggregator()
+    def test_validates_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
-            aggregator.extend(np.array([1]), np.array([1, 2]), np.array([1.0]))
-
-    def test_growth_beyond_hint(self):
-        aggregator = CrosslinkAggregator(capacity_hint=1)
-        for i in range(100):
-            aggregator.add(i, i, float(i))
-        np.testing.assert_array_equal(aggregator.ids, np.arange(100))
+            Crosslinks(np.array([1]), np.array([1, 2]), np.array([1.0]))
 
 
 class TestNicGeometryCache:

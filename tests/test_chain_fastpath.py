@@ -18,25 +18,28 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.chain.committee import run_intra_consensus_streaming
+from repro.chain.committee import calibrated_verify_mean, run_intra_consensus_streaming
 from repro.chain.elastico import ElasticoSimulation
 from repro.chain.fastpath import (
     _pbft_kernel_batch,
     formation_kernel,
     view_change_timeout,
     run_pbft,
-    run_pbft_round_fast,
 )
-from repro.chain.final import CrosslinkAggregator
 from repro.chain.measurement import linear_growth_check, measure_two_phase_latency
 from repro.chain.network import Network
 from repro.chain.node import spawn_nodes
+from repro.chain.overlay import run_overlay_configuration
 from repro.chain.params import ChainParams, NetworkParams
 from repro.chain.pbft import run_pbft_round
+from repro.chain.pow import committee_fill_times, committee_members, run_pow_election
 from repro.metrics.ks import ks_critical_value, ks_statistic
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
@@ -71,9 +74,10 @@ def des_commit_times(size, seeds, byzantine_fraction=0.0, byzantine_seats=()):
 
 
 def kernel_round(members, seed):
-    """``run_pbft_round_fast`` for a round that must take the closed form."""
+    """A fastpath ``run_pbft`` round that must take the closed form."""
     ring = RingBufferSink(1024)
-    outcome = run_pbft_round_fast(
+    outcome = run_pbft(
+        "fastpath",
         members=members,
         rng=spawn_rng(seed, "round"),
         network_params=NetworkParams(),
@@ -88,7 +92,8 @@ def fastpath_commit_times(size, seeds, byzantine_fraction=0.0, byzantine_seats=(
     times = []
     for seed in seeds:
         members = _members(size, seed, byzantine_fraction, byzantine_seats)
-        outcome = run_pbft_round_fast(
+        outcome = run_pbft(
+            "fastpath",
             members=members,
             rng=spawn_rng(seed, "round"),
             network_params=NetworkParams(),
@@ -188,7 +193,7 @@ class TestViewChangeKernel:
             )
             return [r for r in ring.records if r.get("name", "").startswith("chain.")]
 
-        fast, des = records(run_pbft_round_fast), records(run_pbft_round)
+        fast, des = records(partial(run_pbft, "fastpath")), records(run_pbft_round)
         assert [r["name"] for r in fast] == [r["name"] for r in des] == [
             "chain.pbft.view_change", "chain.pbft.view_change", "chain.pbft.round",
         ]
@@ -209,8 +214,7 @@ class TestViewChangeKernel:
         sim = ElasticoSimulation(params, telemetry=Telemetry(sinks=[ring]))
         committees = sim.form_committees(sim.streams.fork("epoch-0").get("epoch"))
         run_intra_consensus_streaming(
-            committees, params, spawn_rng(5, "stage3"), CrosslinkAggregator(),
-            telemetry=sim.telemetry,
+            committees, params, spawn_rng(5, "stage3"), telemetry=sim.telemetry
         )
         view_changed = [
             c for c in committees
@@ -243,8 +247,8 @@ class TestFallbacks:
             members=members, rng=spawn_rng(seed, "round"), network_params=net,
             verify_mean_s=VERIFY_MEAN_S,
         )
-        fast = run_pbft_round_fast(
-            members=members, rng=spawn_rng(seed, "round"), network_params=net,
+        fast = run_pbft(
+            "fastpath", members=members, rng=spawn_rng(seed, "round"), network_params=net,
             verify_mean_s=VERIFY_MEAN_S,
         )
         assert fast.committed == reference.committed
@@ -260,8 +264,8 @@ class TestFallbacks:
         members = spawn_nodes(count=4, byzantine_fraction=0.0, rng=spawn_rng(1, "m"))
         ring = RingBufferSink(1024)
         telemetry = Telemetry(sinks=[ring])
-        run_pbft_round_fast(
-            members=members, rng=spawn_rng(1, "r"), network_params=net,
+        run_pbft(
+            "fastpath", members=members, rng=spawn_rng(1, "r"), network_params=net,
             verify_mean_s=0.05, round_tag="timeout-case", telemetry=telemetry,
         )
         fallbacks = [r for r in ring.records if r.get("name") == "chain.fastpath.fallback"]
@@ -285,7 +289,7 @@ class TestFallbacks:
     def test_too_small_committee_rejected(self):
         members = spawn_nodes(count=3, byzantine_fraction=0.0, rng=spawn_rng(0, "members"))
         with pytest.raises(ValueError):
-            run_pbft_round_fast(members, spawn_rng(0, "round"), NetworkParams(), VERIFY_MEAN_S)
+            run_pbft("fastpath", members, spawn_rng(0, "round"), NetworkParams(), VERIFY_MEAN_S)
 
     def test_run_pbft_dispatch(self):
         members = spawn_nodes(count=4, byzantine_fraction=0.0, rng=spawn_rng(2, "members"))
@@ -315,15 +319,15 @@ class TestBatchedRounds:
             seed=3,
             network=NetworkParams(loss_probability=0.05),
         )
-        des = ElasticoSimulation(params, chain_engine="des").run_epoch()
-        fast = ElasticoSimulation(params, chain_engine="fastpath").run_epoch()
+        des = ElasticoSimulation(replace(params, chain_engine="des")).run_epoch()
+        fast = ElasticoSimulation(replace(params, chain_engine="fastpath")).run_epoch()
         assert des.formation_latencies == fast.formation_latencies
         assert des.consensus_latencies == fast.consensus_latencies
         assert des.randomness == fast.randomness
 
     def test_batch_and_serial_commit_the_same_committees(self):
-        """The batch must submit exactly the committees the serial
-        per-round loop commits (values differ: independent draws)."""
+        """The batch must submit exactly the committees that per-committee
+        DES rounds commit (values differ: independent draws)."""
         params = ChainParams(num_nodes=480, committee_size=8, seed=11, chain_engine="fastpath")
         sim_a = ElasticoSimulation(params)
         sim_b = ElasticoSimulation(params)
@@ -331,10 +335,16 @@ class TestBatchedRounds:
         rng_b = sim_b.streams.fork("epoch-0").get("epoch")
         committees_a = sim_a.form_committees(rng_a)
         committees_b = sim_b.form_committees(rng_b)
-        serial = [c for c in committees_a if c.run_intra_consensus(params, rng_a) is not None]
-        batch = CrosslinkAggregator()
-        submitted = run_intra_consensus_streaming(committees_b, params, rng_b, batch)
-        assert submitted == batch.count == len(serial)
+        serial = [
+            c for c in committees_a
+            if c.can_reach_quorum
+            and run_pbft_round(
+                members=c.members, rng=rng_a, network_params=params.network,
+                verify_mean_s=calibrated_verify_mean(params),
+            ).committed
+        ]
+        batch = run_intra_consensus_streaming(committees_b, params, rng_b)
+        assert batch.count == len(serial)
         assert batch.ids.tolist() == [c.committee_id for c in serial]
         assert batch.tx_counts.tolist() == [c.shard_tx_count for c in serial]
         committed = [c for c in committees_b if c.consensus_latency is not None]
@@ -350,7 +360,7 @@ class TestBatchedRounds:
         samples = {}
         for engine in ("des", "fastpath"):
             (m,) = measure_two_phase_latency(
-                base, [400], epochs_per_size=3, chain_engine=engine
+                replace(base, chain_engine=engine), [400], epochs_per_size=3
             )
             samples[engine] = m.consensus_latencies
         d_stat = ks_statistic(samples["des"], samples["fastpath"])
@@ -359,24 +369,103 @@ class TestBatchedRounds:
         )
 
 
+#: Per-``(type, name)`` record counts of the two DES-engine epochs in
+#: :class:`TestEngineTelemetry`, recorded before the DES engine ran
+#: through the shared stage-3 body; the refactor must not move them.
+DES_EPOCH_RECORDS = {
+    ("event", "chain.epoch"): 2,
+    ("event", "chain.final.commit"): 2,
+    ("event", "chain.pbft.view_change"): 8,
+    ("event", "sim.run"): 23,
+    ("hist", "chain.mempool.age_s"): 16,
+    ("span", "chain.final.arrival_window"): 2,
+    ("span", "chain.pbft.round"): 23,
+}
+
+
+class TestEngineTelemetry:
+    """Both engines share one stage-3 body; what each reports must not
+    depend on that: the DES engine is never a "fallback", and a lossy
+    fastpath epoch replays only for the lossy network."""
+
+    def _epochs(self, params, epochs=2):
+        ring = RingBufferSink(1 << 16)
+        sim = ElasticoSimulation(params, telemetry=Telemetry(sinks=[ring]))
+        replays = [sim.run_epoch_streaming().des_replays for _ in range(epochs)]
+        return replays, ring.records
+
+    def test_des_engine_telemetry_unchanged(self):
+        params = ChainParams(
+            num_nodes=240, committee_size=8, seed=11, byzantine_fraction=0.3,
+            chain_engine="des",
+        )
+        replays, records = self._epochs(params)
+        assert replays == [{}, {}]
+        counts = Counter((r["type"], r["name"]) for r in records)
+        assert dict(counts) == DES_EPOCH_RECORDS
+        assert not [name for _, name in counts if name.startswith("chain.fastpath.")]
+
+    def test_lossy_fastpath_epoch_replays_only_for_loss(self):
+        params = ChainParams(
+            num_nodes=240, committee_size=8, seed=3,
+            network=NetworkParams(loss_probability=0.05), chain_engine="fastpath",
+        )
+        replays, records = self._epochs(params)
+        assert replays == [{"lossy-network": 17}, {"lossy-network": 13}]
+        fastpath_records = Counter(
+            (r["name"], r.get("reason"), r["tag"].endswith("-final")) for r in records
+            if r["name"].startswith("chain.fastpath.")
+        )
+        # No kernel call at all (no chunk plan): one fallback per stage-3
+        # replay plus each epoch's final-committee round.
+        assert fastpath_records == {
+            ("chain.fastpath.fallback", "lossy-network", False): 17 + 13,
+            ("chain.fastpath.fallback", "lossy-network", True): 2,
+        }
+
+
 class TestFormationByteIdentity:
     def test_formation_kernel_matches_reference(self):
-        """Stages 1-2 have no event interleaving: the kernel must match
-        the reference path float-for-float, same RNG stream."""
-        params = ChainParams(num_nodes=240, committee_size=8, seed=5)
-        des = ElasticoSimulation(params, chain_engine="des")
-        fast = ElasticoSimulation(params, chain_engine="fastpath")
-        committees_des = des.form_committees(des.streams.fork("epoch-0").get("epoch"))
-        committees_fast = fast.form_committees(fast.streams.fork("epoch-0").get("epoch"))
-        assert [c.committee_id for c in committees_des] == [c.committee_id for c in committees_fast]
-        for a, b in zip(committees_des, committees_fast):
-            assert a.formation_latency == b.formation_latency
-            assert [n.node_id for n in a.members] == [n.node_id for n in b.members]
+        """Stages 1-2 have no event interleaving: the kernel behind
+        ``form_committees`` must match the scalar PoW/overlay reference
+        float-for-float and leave the RNG stream in the same state."""
+        for seed, byzantine_fraction in ((5, 0.1), (9, 0.3)):
+            params = ChainParams(
+                num_nodes=240, committee_size=8, seed=seed,
+                byzantine_fraction=byzantine_fraction,
+            )
+            sim = ElasticoSimulation(params)
+            rng_kernel = sim.streams.fork("epoch-0").get("epoch")
+            rng_reference = ElasticoSimulation(params).streams.fork("epoch-0").get("epoch")
+            committees = sim.form_committees(rng_kernel)
+
+            solutions = run_pow_election(
+                nodes=sim.nodes,
+                num_committees=params.num_committees,
+                mean_solve_s=params.pow_mean_solve_s,
+                epoch_randomness=sim.randomness,
+                rng=rng_reference,
+            )
+            fills = committee_fill_times(solutions, params.num_committees, params.committee_size)
+            members = committee_members(solutions, params.num_committees, params.committee_size)
+            overlay = run_overlay_configuration(
+                solutions=solutions,
+                members=members,
+                registration_rate=params.identity_registration_rate,
+                rng=rng_reference,
+            ).committee_overlay_time
+
+            assert [c.committee_id for c in committees] == sorted(members)
+            for committee in committees:
+                cid = committee.committee_id
+                assert committee.formation_latency == max(fills[cid], overlay[cid])
+                assert [n.node_id for n in committee.members] == members[cid]
+            assert rng_kernel.random() == rng_reference.random()
 
     def test_epoch_formation_latencies_identical(self):
         params = ChainParams(num_nodes=240, committee_size=8, seed=9)
-        des = ElasticoSimulation(params, chain_engine="des").run_epoch()
-        fast = ElasticoSimulation(params, chain_engine="fastpath").run_epoch()
+        des = ElasticoSimulation(replace(params, chain_engine="des")).run_epoch()
+        fast = ElasticoSimulation(replace(params, chain_engine="fastpath")).run_epoch()
         assert des.formation_latencies == fast.formation_latencies
 
     def test_formation_kernel_validates_inputs(self):
@@ -480,19 +569,19 @@ class TestMeasurementFastpath:
         """Fig. 2a's claim (near-linear formation growth) holds on the
         fastpath engine too -- formation is byte-identical to the DES, so
         the fit comes out the same shape."""
-        params = ChainParams(num_nodes=100, committee_size=8, seed=5)
-        measurements = measure_two_phase_latency(
-            params, (100, 250, 400, 700), epochs_per_size=1, chain_engine="fastpath"
-        )
+        params = ChainParams(num_nodes=100, committee_size=8, seed=5, chain_engine="fastpath")
+        measurements = measure_two_phase_latency(params, (100, 250, 400, 700), epochs_per_size=1)
         fit = linear_growth_check(measurements)
         assert fit["slope"] > 0
         assert fit["r_squared"] > 0.6  # same claim/threshold as the DES test
 
     def test_formation_matches_des_measurement(self):
         params = ChainParams(num_nodes=100, committee_size=8, seed=1)
-        des = measure_two_phase_latency(params, (100, 200), epochs_per_size=1, chain_engine="des")
+        des = measure_two_phase_latency(
+            replace(params, chain_engine="des"), (100, 200), epochs_per_size=1
+        )
         fast = measure_two_phase_latency(
-            params, (100, 200), epochs_per_size=1, chain_engine="fastpath"
+            replace(params, chain_engine="fastpath"), (100, 200), epochs_per_size=1
         )
         for a, b in zip(des, fast):
             assert a.formation_latencies == b.formation_latencies

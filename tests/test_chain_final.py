@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.chain.blocks import RootChain
-from repro.chain.committee import Committee
-from repro.chain.final import CrosslinkAggregator, FinalCommittee, take_everything
+from repro.chain.committee import Committee, Crosslinks
+from repro.chain.final import FinalCommittee, take_everything
 from repro.chain.node import spawn_nodes
 from repro.chain.params import ChainParams
 from repro.core.problem import MVComConfig
@@ -14,15 +14,19 @@ PARAMS = ChainParams(num_nodes=64, committee_size=8, seed=9)
 
 
 def make_submissions(count=10, seed=0):
-    """An aggregator holding ``count`` submitted shards (ids 0..count-1)."""
+    """Crosslinks of ``count`` submitted shards (ids 0..count-1)."""
     rng = np.random.default_rng(seed)
-    aggregator = CrosslinkAggregator(capacity_hint=count)
-    for i in range(count):
-        tx_count = int(rng.integers(500, 2_000))
+    tx_counts, latencies = [], []
+    for _ in range(count):
+        tx_counts.append(int(rng.integers(500, 2_000)))
         formation = float(rng.gamma(4.0, 150.0))
         consensus = float(rng.gamma(4.0, 12.0))
-        aggregator.add(i, tx_count, formation + consensus)
-    return aggregator
+        latencies.append(formation + consensus)
+    return Crosslinks(
+        ids=np.arange(count, dtype=np.int64),
+        tx_counts=np.array(tx_counts, dtype=np.int64),
+        latencies=np.array(latencies, dtype=np.float64),
+    )
 
 
 def make_final_committee(scheduler, capacity=8_000):
@@ -79,7 +83,7 @@ class TestRun:
         final = make_final_committee(take_everything)
         chain = RootChain()
         rng = np.random.default_rng(1)
-        assert final.run_streaming(CrosslinkAggregator(), chain, "rand", rng) is None
+        assert final.run_streaming(make_submissions(0), chain, "rand", rng) is None
         assert chain.height == 0
         # Nothing to schedule: the final round never runs, so it draws nothing.
         assert rng.random() == np.random.default_rng(1).random()

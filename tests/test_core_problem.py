@@ -1,9 +1,13 @@
 """Tests for the MVCom problem model (Section III)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.core.problem import EpochInstance, MVComConfig, build_instance
+from repro.chain.committee import Crosslinks
+from repro.core.problem import EpochInstance, MVComConfig, build_instance, n_max_cutoff
+from repro.data.workload import arrived_shards
 
 
 class TestConfig:
@@ -181,3 +185,35 @@ class TestBuildInstance:
     def test_empty_records_rejected(self, tiny_config):
         with pytest.raises(ValueError):
             build_instance([], tiny_config)
+
+
+class TestNMaxCutoff:
+    """The N_max rule keeps floor(N_max * n) arrivals in the fraction's
+    decimal value, not in the float product (0.29 * 100 == 28.999...)."""
+
+    @pytest.mark.parametrize(
+        "fraction,arrivals,kept",
+        [(0.29, 100, 29), (0.57, 100, 57), (0.7, 90, 63), (0.58, 50, 29)],
+    )
+    def test_exact_product(self, fraction, arrivals, kept):
+        assert n_max_cutoff(fraction, arrivals) == kept
+        shards = [SimpleNamespace(latency=float(i + 1)) for i in range(arrivals)]
+        assert len(arrived_shards(shards, fraction)) == kept
+        crosslinks = Crosslinks(
+            ids=np.arange(arrivals),
+            tx_counts=np.full(arrivals, 100),
+            latencies=np.arange(1.0, arrivals + 1.0),
+        )
+        assert crosslinks.arrival_positions(fraction).size == kept
+
+    @pytest.mark.parametrize("fraction", [0.8, 1.0])
+    def test_paper_fractions_unchanged(self, fraction):
+        """The float floor was already exact at 0.8 and 1.0, so no pinned
+        trajectory moves."""
+        for arrivals in range(10_001):
+            legacy = max(1, int(np.floor(fraction * arrivals)))
+            assert n_max_cutoff(fraction, arrivals) == legacy
+
+    def test_at_least_one_arrival(self):
+        assert n_max_cutoff(0.1, 5) == 1
+        assert n_max_cutoff(0.8, 0) == 1
