@@ -29,42 +29,42 @@ the :class:`~repro.core.convergence.ConvergenceDetector` and the incumbent
 
 ``vectorized``
     The fully-batched Γ×thread race kernel: **one** numpy race covers every
-    replica's racing threads simultaneously.  Each round draws all racing
-    threads' swap pairs and Exp(1) variates in one block from the named
-    ``"vectorized-race"`` stream, evaluates eq. (8) as array ops over the
-    whole population, finds each replica's minimum armed timer by a
-    segmented (inf-padded rectangular) argmin — no per-replica Python loop —
-    and applies all fires at once (one fire per replica touches disjoint
-    rows, so the batch is exact).  It consumes randomness in a different
-    order than the scalar engines, so it is validated *distributionally*
-    (χ²/KS tests in ``tests/test_core_engines.py``), not byte-wise.
+    replica's racing threads simultaneously.  Swap pairs and Exp(1)
+    variates come from multi-round blocks of the named
+    ``"vectorized-race"`` stream (layout below).  Each round evaluates
+    eq. (8) as array ops over the whole population, finds each replica's
+    minimum armed timer by a segmented (inf-padded rectangular) argmin —
+    no per-replica Python loop — and applies all fires at once (one fire
+    per replica touches disjoint rows, so the batch is exact).  It
+    consumes randomness in a different order than the scalar engines, so
+    it is validated *distributionally* (χ²/KS tests in
+    ``tests/test_core_engines.py``), not byte-wise.
 
 ``auto`` (the :class:`~repro.core.se.SEConfig` default)
-    Not a fourth engine but a selection rule (:func:`select_engine`): the
-    *trajectory-changing* choice — scalar family vs batched kernel — depends
-    only on machine-independent quantities (the racing population
-    ``Γ × threads`` and the dynamic-event density), so a seeded run picks
-    the same family on every box; ``os.cpu_count()`` only arbitrates
-    *within* the byte-identical scalar family (serial vs parallel).  The
-    decision is logged through the injected obs hub as an ``engine.auto``
-    event.
+    Not a fourth engine but one selection rule (:func:`select_engine`):
+    ``vectorized`` when the racing work ``Γ × threads`` reaches
+    :data:`AUTO_VECTORIZE_MIN_WORK`, else ``serial``.  It reads neither
+    the machine nor the dynamic-event schedule, so a seeded run picks the
+    same engine — hence the same trajectory — on every box.  ``parallel``
+    is only ever chosen explicitly.  The decision is logged through the
+    injected obs hub as an ``engine.auto`` event.
 
 Vectorized stream layout (the engine's own named streams, independent of
-the per-replica scalar streams): per race round the main
-``"vectorized-race"`` stream supplies one ``(T, 3)`` uniform block —
-column 0 a thread's lane-0 out-index draw, column 1 its lane-0 in-index
-draw, column 2 its Exp(1) inversion draw — where ``T`` counts racing
-threads **across all Γ replicas** in replica-major, cardinality-minor
-order.  Main-stream consumption is therefore shape-constant per round.
-Only rows whose lane-0 pair violates the capacity (const. 4) draw their
-remaining ``pair_tries - 1`` candidate pairs from the separate
-``"vectorized-race-retry"`` stream — one ``(rejected, pair_tries - 1, 2)``
-block, first feasible lane wins, budget-exhausted rows park — so the
-common case (ample slack) pays 3 uniforms per thread-round instead of the
-scalar engines' up-to-33.  Both streams replay deterministically: the
-retry block's size is a function of the trajectory, which is a function of
-the seeds alone.  For speed the kernel draws many rounds of the main block
-at once as ``(R, T, 3)``; retry blocks are always per-round.
+the per-replica scalar streams).  ``T`` counts racing threads **across all
+Γ replicas** in replica-major, cardinality-minor order.  The main
+``"vectorized-race"`` stream is drawn in blocks of ``R`` rounds, ``R =
+min(rounds left in the segment, 65536 // T)``: first one ``(R, T, 2)``
+tensor of lane-0 pair uniforms (out-index, in-index), then one ``(R, T)``
+tensor of Exp(1) inversion uniforms.  Because the two tensors are drawn
+back to back, a block is *not* stream-equivalent to ``R`` per-round draws:
+the block size is part of the trajectory.  Only rows whose lane-0 pair
+violates the capacity (const. 4) draw their remaining ``pair_tries - 1``
+candidate pairs from the separate ``"vectorized-race-retry"`` stream — one
+``(rejected, pair_tries - 1, 2)`` block per round, first feasible lane
+wins, budget-exhausted rows park — so the common case (ample slack) pays 3
+uniforms per thread-round instead of the scalar engines' up-to-33.  Both
+streams replay deterministically: the retry block's size is a function of
+the trajectory, which is a function of the seeds alone.
 """
 
 from __future__ import annotations
@@ -109,22 +109,8 @@ SELECTABLE_ENGINES = (AUTO_ENGINE,) + ENGINE_NAMES
 #: loop.  Measured on the bench box (``benchmarks/bench_se_engines.py``):
 #: the crossover sits near work ≈ 60; 192 leaves a ~3x safety margin so
 #: ``auto`` is never slower than serial.  Machine-independent on purpose —
-#: this threshold decides the *trajectory* (scalar vs batched draws), so it
-#: must not consult ``cpu_count``.
+#: this threshold decides the *trajectory* (scalar vs batched draws).
 AUTO_VECTORIZE_MIN_WORK = 192
-
-#: Mean rounds between dynamic-event boundaries below which ``auto`` stays
-#: on the scalar family: each boundary forces the batched kernel to sync
-#: its arrays back into thread objects and rebuild them, which dominates
-#: short segments.  Also machine-independent (schedule-derived only).
-AUTO_DENSE_GAP_ROUNDS = 64
-
-#: The parallel engine is byte-identical to serial, so consulting the
-#: machine here is safe.  It only ever pays off with real cores, several
-#: replicas to fan out, and enough per-segment work to beat pickling.
-AUTO_PARALLEL_MIN_CPUS = 4
-AUTO_PARALLEL_MIN_GAMMA = 4
-AUTO_PARALLEL_MIN_WORK = 4096
 
 
 def count_racing_threads(replica: _Replica) -> int:
@@ -135,58 +121,19 @@ def count_racing_threads(replica: _Replica) -> int:
     )
 
 
-def schedule_mean_gap(schedule: Optional[DynamicSchedule], max_iterations: int) -> float:
-    """Mean rounds between dynamic-event boundaries over the run budget.
-
-    Events sharing an iteration are one boundary (they are applied
-    together).  ``inf`` for a static run, so the density check below is a
-    single comparison either way.
-    """
-    if schedule is None or len(schedule) == 0:
-        return float("inf")
-    boundaries = len({event.iteration for event in schedule.events})
-    return max_iterations / (boundaries + 1)
-
-
-def select_engine(
-    config,
-    racing_threads: int,
-    schedule: Optional[DynamicSchedule] = None,
-    cpu_count: Optional[int] = None,
-) -> Tuple[str, str]:
+def select_engine(config, racing_threads: int) -> Tuple[str, str]:
     """Resolve ``engine="auto"`` to a concrete engine; returns (engine, reason).
 
-    The decision tree keeps seeded runs reproducible across machines: the
-    scalar-vs-batched split (which changes the randomness consumption
-    order, hence the trajectory) depends only on the racing population and
-    the event density — both derived from the config/instance/schedule.
-    ``cpu_count`` (injectable for tests; defaults to ``os.cpu_count()``)
-    only picks between serial and parallel, which are byte-identical twins.
+    One rule on the racing work ``Γ × racing_threads``: the batched kernel
+    once it reaches :data:`AUTO_VECTORIZE_MIN_WORK`, the scalar loop below.
+    The rule reads neither the machine nor the dynamic-event schedule, so a
+    seeded run picks the same engine, hence the same trajectory, everywhere.
     """
     work = config.num_threads * racing_threads
-    mean_gap = schedule_mean_gap(schedule, config.max_iterations)
-    dense = mean_gap < AUTO_DENSE_GAP_ROUNDS
-    if not dense and work >= AUTO_VECTORIZE_MIN_WORK:
+    if work >= AUTO_VECTORIZE_MIN_WORK:
         return (
             "vectorized",
             f"work={work} >= {AUTO_VECTORIZE_MIN_WORK}: batched kernel amortises",
-        )
-    cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    if (
-        cpus >= AUTO_PARALLEL_MIN_CPUS
-        and config.num_threads >= AUTO_PARALLEL_MIN_GAMMA
-        and work >= AUTO_PARALLEL_MIN_WORK
-    ):
-        return (
-            "parallel",
-            f"dense schedule (gap {mean_gap:.0f} rounds) with work={work} "
-            f"on {cpus} cpus: replica pool beats scalar",
-        )
-    if dense and work >= AUTO_VECTORIZE_MIN_WORK:
-        return (
-            "serial",
-            f"dense schedule (gap {mean_gap:.0f} rounds): array rebuild "
-            "per boundary would dominate the batched kernel",
         )
     return "serial", f"work={work} < {AUTO_VECTORIZE_MIN_WORK}: scalar loop wins"
 
@@ -711,7 +658,8 @@ class _VectorState:
     one round costs a handful of ``take`` gathers on ``(T,)`` arrays.  The
     cardinalities never change, so the uniform draws for many rounds are
     pre-shaped into index/log-variate blocks at once
-    (:meth:`start_block`) — stream-equivalent to per-round draws.
+    (:meth:`start_block`).  A block is *not* stream-equivalent to per-round
+    draws, so the block size is part of the trajectory.
     """
 
     def __init__(
@@ -833,21 +781,33 @@ class _VectorState:
         retry stream inside :meth:`race_round`, so this block's shape never
         depends on acceptance.
         """
-        draws = rng.random((rounds, self.size, 2))
-        out = (draws[..., 0] * self.len_sel).astype(np.int64)
+        # Drop the spent block first so it never coexists with the new one.
+        self._blk_out = self._blk_in = self._blk_timer_base = None
+        shape = (rounds, self.size)
+        pairs = rng.random(shape + (2,))
+        # One float scratch serves the out-index, in-index and timer stages.
+        scratch = np.multiply(pairs[..., 0], self.len_sel, out=np.empty(shape))
+        out = scratch.astype(np.int64)
         np.minimum(out, self.n_sel - 1, out=out)
         out += self.off_sel
-        inn = (draws[..., 1] * self.len_unsel).astype(np.int64)
+        np.multiply(pairs[..., 1], self.len_unsel, out=scratch)
+        del pairs
+        inn = scratch.astype(np.int64)
         np.minimum(inn, self.n_unsel - 1, out=inn)
         inn += self.off_unsel
+        # Pre-fold the eq. (8) log-mean base and the Exp(1) inversion so a
+        # round's timer is just two gathers and two adds on (T,) arrays:
+        # timer = log_mean_base + log(max(-log1p(-u), 1e-300)), in place.
+        rng.random(shape, out=scratch)
+        np.negative(scratch, out=scratch)
+        np.log1p(scratch, out=scratch)
+        np.negative(scratch, out=scratch)
+        np.maximum(scratch, 1e-300, out=scratch)
+        np.log(scratch, out=scratch)
+        scratch += self.log_mean_base
         self._blk_out = out
         self._blk_in = inn
-        exp_draws = rng.random((rounds, self.size))
-        # Pre-fold the eq. (8) log-mean base and the Exp(1) inversion so a
-        # round's timer is just two gathers and two adds on (T,) arrays.
-        self._blk_timer_base = self.log_mean_base + np.log(
-            np.maximum(-np.log1p(-exp_draws), 1e-300)
-        )
+        self._blk_timer_base = scratch
 
     def race_round(self, block_round: int) -> int:
         """One batched race round across all Γ replicas; returns the fire count.
@@ -1082,9 +1042,9 @@ def run_engine(
     solution satisfies const. (3) ``count >= N_min`` and const. (4)
     ``weight <= Ĉ``; ``serial`` and ``parallel`` are byte-identical for a
     given ``SEConfig.seed``, ``vectorized`` matches distributionally.
-    ``"auto"`` resolves through :func:`select_engine` (machine-independent
-    scalar-vs-batched split; ``cpu_count`` only arbitrates within the
-    byte-identical scalar family) and logs the decision as an
+    ``"auto"`` resolves through :func:`select_engine` (``vectorized`` from
+    racing work ``Γ × threads >= AUTO_VECTORIZE_MIN_WORK``, else
+    ``serial``; never ``parallel``) and logs the decision as an
     ``engine.auto`` telemetry event.
 
     ``warm`` adopts a prior run's replicas/streams/incumbent before the
@@ -1102,7 +1062,7 @@ def run_engine(
     engine = solver.config.engine
     if engine == AUTO_ENGINE:
         racing = count_racing_threads(run.replicas[0])
-        engine, reason = select_engine(solver.config, racing, schedule=schedule)
+        engine, reason = select_engine(solver.config, racing)
         if run.traced:
             run.telemetry.event(
                 "engine.auto",

@@ -72,8 +72,10 @@ class SEConfig:
 
     ``engine`` selects the execution engine (:mod:`repro.core.engine`):
     the default ``"auto"`` resolves per solve via
-    :func:`repro.core.engine.select_engine` (machine-independent
-    scalar-vs-batched split, so seeded trajectories reproduce everywhere);
+    :func:`repro.core.engine.select_engine` (``"vectorized"`` once the
+    racing work ``Γ × threads`` reaches ``AUTO_VECTORIZE_MIN_WORK``, else
+    ``"serial"``; no machine or schedule input, so seeded trajectories
+    reproduce everywhere);
     ``"serial"`` is the reference scalar loop, ``"parallel"`` fans the Γ
     replicas across a spawn-safe process pool (``num_workers`` processes,
     clamped to ``os.cpu_count()``) with byte-identical results, and
@@ -89,7 +91,6 @@ class SEConfig:
     tolerance: float = 1e-9
     seed: int = 0
     pair_tries: int = 16
-    include_full_solution: bool = True
     max_solution_threads: Optional[int] = 64
     engine: str = "auto"
     num_workers: int = 4
@@ -692,8 +693,6 @@ class StochasticExploration:
 
     def _maybe_full_solution(self, instance: EpochInstance, best: Solution) -> Solution:
         """Alg. 1 line 25: also consider :math:`f_{|I_j|}` when Ĉ allows it."""
-        if not self.config.include_full_solution:
-            return best
         full = Solution(instance, np.ones(instance.num_shards, dtype=bool))
         if full.capacity_feasible:
             return self._pick_better(best, full)

@@ -301,10 +301,10 @@ def main(argv=None) -> int:
                         choices=["auto", "serial", "parallel", "vectorized"],
                         default="auto",
                         help="solve: SE execution engine (default auto picks "
-                        "the fastest safe path from the racing-thread count, "
-                        "Gamma, and cpu_count; parallel is byte-identical "
-                        "across a process pool, vectorized is the batched "
-                        "distributional kernel)")
+                        "vectorized when Gamma x racing threads >= 192, else "
+                        "serial; parallel is byte-identical across a process "
+                        "pool, vectorized is the batched distributional "
+                        "kernel)")
     parser.add_argument("--workers", type=int, default=4,
                         help="solve: process-pool size for --engine parallel "
                         "(default 4, clamped to cpu_count)")

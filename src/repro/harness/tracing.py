@@ -131,7 +131,7 @@ def traced_solve(
     hotspots land in the same stream as a ``profile.hotspots`` event.
 
     ``engine`` selects the SE execution engine (``auto`` — the default —
-    resolves to ``serial``, ``parallel`` or ``vectorized`` per
+    resolves to ``serial`` or ``vectorized`` per
     :func:`repro.core.engine.select_engine` and logs the pick as an
     ``engine.auto`` event) and ``num_workers`` sizes the parallel
     engine's process pool — telemetry and probes keep firing on the

@@ -45,16 +45,6 @@ class TestDegenerateInstances:
         result = solve(instance)
         assert result.best_count == 3
 
-    def test_full_solution_can_be_disabled(self):
-        config = MVComConfig(alpha=10.0, capacity=10**8, n_min_fraction=0.0)
-        instance = EpochInstance([10, 20, 30], [1.0, 2.0, 3.0], config)
-        result = solve(instance, include_full_solution=False, max_iterations=2_000,
-                       convergence_window=800)
-        # Threads only span [n_min..n_cap] = [1..3]; n=3 IS reachable by a
-        # thread here, so the best is still everything -- the flag only
-        # removes the shortcut, not the capability.
-        assert result.best_count == 3
-
 
 class TestConfigurationExtremes:
     def test_single_solution_thread(self):
