@@ -25,9 +25,6 @@ __all__ = [
     "Scheduler",
     "greedy_feasible_start",
     "random_feasible_start",
-    # Re-export: repair_cardinality moved to repro.core.repair (PR 3) so the
-    # SE core can use it without importing baselines; import it from there.
-    "repair_cardinality",
 ]
 
 

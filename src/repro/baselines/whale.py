@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.contracts import feasible_result
-from repro.baselines.base import ScheduleResult, Scheduler, repair_cardinality
+from repro.baselines.base import ScheduleResult, Scheduler
 from repro.core.problem import EpochInstance
+from repro.core.repair import repair_cardinality
 from repro.core.solution import Solution
 
 

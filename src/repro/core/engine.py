@@ -165,6 +165,7 @@ class _EngineRun:
         self.instance = instance
         self.schedule = schedule
         self.probe = probe
+        self.engine = self.config.engine  # run_engine resolves "auto"
         if warm is None:
             self.generation = 0
             self.streams = RandomStreams(self.config.seed)
@@ -204,9 +205,7 @@ class _EngineRun:
                     num_shards=instance.num_shards,
                     **self.warm_stats,
                 )
-        self.detector = ConvergenceDetector(
-            window=self.config.convergence_window, tolerance=self.config.tolerance
-        )
+        self.detector = ConvergenceDetector(window=self.config.convergence_window)
         if warm is None:
             best = solver._best_current(self.replicas)
             self.best = solver._maybe_full_solution(instance, best)
@@ -351,6 +350,7 @@ class _EngineRun:
             num_replicas=len(self.replicas),
             events_applied=self.events_applied,
             final_instance=self.instance,
+            engine=self.engine,
             warm_state=SEWarmState(
                 replicas=self.replicas,
                 streams=self.streams,
@@ -1071,6 +1071,7 @@ def run_engine(
                 work=solver.config.num_threads * racing,
                 racing_threads=racing,
             )
+    run.engine = engine
     if engine == "parallel":
         return run_parallel(run)
     if engine == "vectorized":

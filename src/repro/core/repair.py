@@ -8,19 +8,84 @@ rebase).  This module holds the deterministic repair used everywhere a
 solution must be coerced back into the feasible region without discarding
 the exploration state that produced it.
 
-Historically :func:`repair_cardinality` lived in ``repro.baselines.base``;
-it moved here so :mod:`repro.core.se` can repair carried incumbents after
-dynamic events without ``core`` importing ``baselines`` (the import must
-flow the other way).  ``repro.baselines.base`` re-exports it for
-compatibility.
+Every move composes one trim (:func:`_drop_worst`) and one pad
+(:func:`_pad`), each walking one stable order instead of taking a fresh
+argmin/argmax after every flip.  The walk is exact: a trim changes no
+value, so the next-worst member is the next entry of the ascending order;
+a pad only shrinks the slack, so an outsider that does not fit now never
+fits later, and the next pick is the next fitting entry of the
+``(-value, position)`` order — until a weight-reducing swap frees slack
+and the walk restarts.  Stable sorting keeps numpy's first-index tie
+rule, so the flips, their order and the incremental ``Solution`` caches
+are those of a per-flip re-scan.
+
+The module lives in ``core`` so :mod:`repro.core.se` can repair carried
+incumbents after dynamic events without ``core`` importing ``baselines``
+(the import flows the other way).
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 from repro.core.problem import EpochInstance
 from repro.core.solution import Solution
+
+#: The walk's tx for a member: above any slack, so it never fits.
+_NEVER_FITS = np.iinfo(np.int64).max
+
+
+def _drop_worst(
+    instance: EpochInstance, solution: Solution, done: Callable[[Solution], bool]
+) -> None:
+    """The one trim: drop the lowest-value member until ``done(solution)``."""
+    if done(solution):
+        return
+    selected = solution.selected_positions()
+    for position in selected[np.argsort(instance.values[selected], kind="stable")]:
+        if done(solution):
+            return
+        solution.flip(int(position))
+
+
+def _pad(instance: EpochInstance, solution: Solution, target: int) -> bool:
+    """The one pad (see :func:`repair_cardinality`) up to ``target`` members.
+
+    Returns ``False`` when the target is out of reach: no outsider fits and
+    no swap reduces the weight, or a side runs empty.  ``walk_tx`` holds
+    the tx counts in walk order with members set to ``_NEVER_FITS``; one
+    vectorised test per walk finds the outsiders that fit the slack at its
+    start, and each is re-checked against the current slack in turn.
+    """
+    if solution.count >= target:
+        return True
+    tx_counts = instance.tx_counts
+    tx_list = instance.tx_counts_list
+    order = np.argsort(-instance.values, kind="stable")
+    rank = np.argsort(order)
+    walk_tx = np.where(solution.mask[order], _NEVER_FITS, tx_counts[order])
+    while True:
+        slack = instance.capacity - solution.weight
+        fits = np.flatnonzero(walk_tx <= slack)
+        for step, position in zip(fits.tolist(), order[fits].tolist()):
+            if tx_list[position] <= slack:
+                solution.flip(position)
+                slack -= tx_list[position]
+                walk_tx[step] = _NEVER_FITS
+                if solution.count >= target:
+                    return True
+        if solution.count in (0, instance.num_shards):
+            return False
+        mask = solution.mask
+        heaviest = int(np.argmax(np.where(mask, tx_counts, -1)))
+        lightest = int(np.argmin(np.where(mask, _NEVER_FITS, tx_counts)))
+        if int(tx_counts[lightest]) >= int(tx_counts[heaviest]):
+            return False
+        solution.swap(heaviest, lightest)
+        walk_tx[rank[heaviest]] = tx_counts[heaviest]
+        walk_tx[rank[lightest]] = _NEVER_FITS
 
 
 def repair_cardinality(instance: EpochInstance, solution: Solution) -> None:
@@ -34,25 +99,7 @@ def repair_cardinality(instance: EpochInstance, solution: Solution) -> None:
     max_feasible_cardinality`` — which :class:`EpochInstance` guarantees by
     construction.
     """
-    tx_counts = instance.tx_counts
-    values = instance.values
-    while solution.count < instance.n_min:
-        unselected = solution.unselected_positions()
-        if len(unselected) == 0:
-            break
-        slack = instance.capacity - solution.weight
-        fitting = unselected[tx_counts[unselected] <= slack]
-        if len(fitting):
-            solution.flip(int(fitting[np.argmax(values[fitting])]))
-            continue
-        selected = solution.selected_positions()
-        if len(selected) == 0:
-            break  # nothing fits at all: n_cap = 0, so n_min = 0 too
-        heaviest = int(selected[np.argmax(tx_counts[selected])])
-        lightest = int(unselected[np.argmin(tx_counts[unselected])])
-        if int(tx_counts[lightest]) >= int(tx_counts[heaviest]):
-            break  # cannot reduce weight further
-        solution.swap(heaviest, lightest)
+    _pad(instance, solution, instance.n_min)
 
 
 def repair_capacity(instance: EpochInstance, solution: Solution) -> None:
@@ -64,10 +111,7 @@ def repair_capacity(instance: EpochInstance, solution: Solution) -> None:
     :func:`repair_cardinality`, whose pad-or-swap loop never re-breaks the
     capacity.
     """
-    while not solution.capacity_feasible and solution.count > 0:
-        selected = solution.selected_positions()
-        worst = selected[np.argmin(instance.values[selected])]
-        solution.flip(int(worst))
+    _drop_worst(instance, solution, lambda s: s.capacity_feasible)
 
 
 def repair_feasibility(instance: EpochInstance, solution: Solution) -> None:
@@ -124,34 +168,18 @@ def resize_to_cardinality(
     leave the rebased count short (or a shrunken range leaves it long).
     Trims the lowest-value members while over; pads with the best-value
     fitting outsider while short, falling back to weight-reducing swaps
-    (heaviest member for lightest outsider) when nothing fits; finishes
-    with the same swap loop until const. (4) holds.  Returns ``True`` on
-    success — the caller keeps the repaired carried solution — and
-    ``False`` when the target shape is unreachable, in which case the
-    solution should be discarded and re-initialised instead.
+    (heaviest member for lightest outsider) when nothing fits; finishes by
+    swapping the heaviest member for the best-value lighter outsider until
+    const. (4) holds.  Returns ``True`` on success — the caller keeps the
+    repaired carried solution — and ``False`` when the target shape is
+    unreachable, in which case the solution should be discarded and
+    re-initialised instead.
     """
-    values = instance.values
+    _drop_worst(instance, solution, lambda s: s.count <= cardinality)
+    if not _pad(instance, solution, cardinality):
+        return False
     tx_counts = instance.tx_counts
-    while solution.count > cardinality:
-        selected = solution.selected_positions()
-        solution.flip(int(selected[np.argmin(values[selected])]))
-    while solution.count < cardinality:
-        unselected = solution.unselected_positions()
-        if not len(unselected):
-            return False
-        slack = instance.capacity - solution.weight
-        fitting = unselected[tx_counts[unselected] <= slack]
-        if len(fitting):
-            solution.flip(int(fitting[np.argmax(values[fitting])]))
-            continue
-        selected = solution.selected_positions()
-        if not len(selected):
-            return False
-        heaviest = int(selected[np.argmax(tx_counts[selected])])
-        lightest = int(unselected[np.argmin(tx_counts[unselected])])
-        if int(tx_counts[lightest]) >= int(tx_counts[heaviest]):
-            return False
-        solution.swap(heaviest, lightest)
+    values = instance.values
     while not solution.capacity_feasible:
         selected = solution.selected_positions()
         unselected = solution.unselected_positions()

@@ -88,7 +88,6 @@ class SEConfig:
     num_threads: int = 10
     max_iterations: int = 10_000
     convergence_window: int = 1_000
-    tolerance: float = 1e-9
     seed: int = 0
     pair_tries: int = 16
     max_solution_threads: Optional[int] = 64
@@ -126,6 +125,8 @@ class SEResult:
     replicas at round ``k`` -- the series that dips when a committee fails
     (Fig. 9a).  ``virtual_time_trace`` is cumulative virtual seconds (the
     parallel executors' wall clock, i.e. the slowest replica's race time).
+    ``engine`` names the engine that ran the race, with ``"auto"`` already
+    resolved (:func:`repro.core.engine.run_engine`).
     """
 
     best_mask: np.ndarray
@@ -142,6 +143,7 @@ class SEResult:
     events_applied: List[CommitteeEvent] = field(default_factory=list)
     final_instance: Optional[EpochInstance] = None
     warm_state: Optional["SEWarmState"] = None
+    engine: str = "auto"
 
     @property
     def valuable_degree_inputs(self) -> tuple:
@@ -609,23 +611,56 @@ class StochasticExploration:
                 f"warm state carries {len(replicas)} replicas but config.num_threads "
                 f"(Gamma) is {self.config.num_threads}; warm starts cannot resize Gamma"
             )
-        streams = warm.streams
-        if instances_match(warm.instance, instance):
-            for replica in replicas:
-                for thread in replica.threads:
-                    thread.timer = None
-                    if thread.solution is not None:
-                        # Identity rebind only: the caller's instance is
-                        # value-equal, so every cache stays bit-valid.
-                        thread.solution.instance = instance
-            return {"retained": sum(len(r.threads) for r in replicas),
-                    "reseated": 0, "spawned": 0, "zero_drift": True}
+        zero_drift = instances_match(warm.instance, instance)
+
+        def keep(thread: _SolutionThread) -> bool:
+            if zero_drift:
+                if thread.solution is not None:
+                    # Identity rebind only: the caller's instance is
+                    # value-equal, so every cache stays bit-valid.
+                    thread.solution.instance = instance
+                return True
+            if thread.solution is None:
+                return False
+            # Departed members are padded back deterministically (resize)
+            # and the stale membership re-anchored with a few
+            # cardinality-preserving improving swaps; each thread keeps its
+            # own carried base, so the population keeps its diversity.
+            rebased = thread.solution.rebase(instance)
+            if not resize_to_cardinality(instance, rebased, thread.cardinality):
+                return False
+            greedy_swap_improve(instance, rebased)
+            thread.set_solution(rebased)  # re-scored, still valid
+            return True
+
+        retained, reseated, spawned = self._reseat(
+            instance, replicas, warm.streams, f"gen{warm.generation}", keep
+        )
+        return {"retained": retained, "reseated": reseated, "spawned": spawned,
+                "zero_drift": zero_drift}
+
+    def _reseat(
+        self,
+        instance: EpochInstance,
+        replicas: Sequence[_Replica],
+        streams: RandomStreams,
+        spawn_tag: str,
+        keep: Callable[[_SolutionThread], bool],
+    ) -> tuple:
+        """The one re-seat loop of :meth:`_adopt_replicas` and :meth:`_apply_events`.
+
+        Re-spreads each replica's threads over ``instance``'s cardinalities:
+        a carried thread stays when ``keep(thread)`` holds (``keep`` may
+        repair it in place) and otherwise re-initialises from the replica's
+        continued ``replica-{id}-init`` stream (:meth:`_spawn_replicas`'
+        stream); a missing cardinality spawns on stream
+        ``replica-{id}-{spawn_tag}-n{cardinality}``.  Returns ``(kept,
+        reinitialised, spawned)``.
+        """
         cardinalities = self.thread_cardinalities(instance)
-        retained = reseated = spawned = 0
+        kept = reinitialised = spawned = 0
         for replica in replicas:
             replica_id = replica.replica_id
-            # The init stream continues across epochs, exactly as it does
-            # across dynamic events within one solve (see _apply_events).
             # repro: ignore[MV101]
             init_rng = streams.get(f"replica-{replica_id}-init")
             existing = {thread.cardinality: thread for thread in replica.threads}
@@ -634,40 +669,23 @@ class StochasticExploration:
                 thread = existing.pop(cardinality, None)
                 if thread is None:
                     rng = _ThreadRng(
-                        streams.seed,
-                        f"replica-{replica_id}-gen{warm.generation}-n{cardinality}",
+                        streams.seed, f"replica-{replica_id}-{spawn_tag}-n{cardinality}"
                     )
                     thread = _SolutionThread(
                         cardinality=cardinality, thread_rng=rng, config=self.config
                     )
                     thread.initialize(instance, init_rng)
                     spawned += 1
+                elif keep(thread):
+                    kept += 1
                 else:
-                    rebased = (
-                        thread.solution.rebase(instance)
-                        if thread.solution is not None
-                        else None
-                    )
-                    if rebased is not None and resize_to_cardinality(
-                        instance, rebased, cardinality
-                    ):
-                        # Departed members are padded back deterministically
-                        # (resize) and the stale membership re-anchored with
-                        # a few cardinality-preserving improving swaps; each
-                        # thread keeps its own carried base, so the
-                        # population keeps its diversity.
-                        greedy_swap_improve(instance, rebased)
-                        thread.set_solution(rebased)  # re-scored, still valid
-                        retained += 1
-                    else:
-                        thread.initialize(instance, init_rng)
-                        reseated += 1
+                    thread.initialize(instance, init_rng)
+                    reinitialised += 1
                 thread.timer = None
                 threads.append(thread)
             replica.threads = threads
             replica.recompute_current()
-        return {"retained": retained, "reseated": reseated, "spawned": spawned,
-                "zero_drift": False}
+        return kept, reinitialised, spawned
 
     @staticmethod
     def _best_current(replicas: Sequence[_Replica]) -> Solution:
@@ -679,11 +697,6 @@ class StochasticExploration:
         if best is None:
             raise InfeasibleEpochError("all solution threads are inactive")
         return best.copy()
-
-    @staticmethod
-    def _current_utility(replicas: Sequence[_Replica]) -> float:
-        """Best current utility across replicas (cached running maxes)."""
-        return max(replica.current_utility for replica in replicas)
 
     @staticmethod
     def _pick_better(best: Solution, candidate: Optional[Solution]) -> Solution:
@@ -736,36 +749,13 @@ class StochasticExploration:
             else:
                 instance = self._apply_join(instance, replicas, event)
         # Re-spread cardinalities over the (possibly resized) feasible range.
-        cardinalities = self.thread_cardinalities(instance)
-        spawned = reinitialised = 0
-        for replica in replicas:
-            replica_id = replica.replica_id
-            # Intentionally the same stream as _spawn_replicas: a reseated
-            # replica *continues* its init sequence rather than restarting
-            # it, so replay stays byte-identical across dynamic events.
-            # repro: ignore[MV101]
-            init_rng = streams.get(f"replica-{replica_id}-init")
-            existing = {thread.cardinality: thread for thread in replica.threads}
-            reseated = []
-            for cardinality in cardinalities:
-                thread = existing.pop(cardinality, None)
-                if thread is None:
-                    stream_name = (
-                        f"replica-{replica_id}-dyn-n{cardinality}"
-                        if generation == 0
-                        else f"replica-{replica_id}-gen{generation}-dyn-n{cardinality}"
-                    )
-                    rng = _ThreadRng(streams.seed, stream_name)
-                    thread = _SolutionThread(cardinality=cardinality, thread_rng=rng, config=self.config)
-                    thread.initialize(instance, init_rng)
-                    spawned += 1
-                elif thread.solution is None or not thread.active:
-                    thread.initialize(instance, init_rng)
-                    reinitialised += 1
-                thread.timer = None
-                reseated.append(thread)
-            replica.threads = reseated
-            replica.recompute_current()
+        _, reinitialised, spawned = self._reseat(
+            instance,
+            replicas,
+            streams,
+            "dyn" if generation == 0 else f"gen{generation}-dyn",
+            lambda thread: thread.active,
+        )
         if self.telemetry.enabled:
             self.telemetry.event(
                 "se.reseat",

@@ -197,25 +197,6 @@ def _scheduled_ids(result: SEResult) -> List[int]:
     ]
 
 
-class _EngineChoiceSink:
-    """Tiny sink remembering the latest ``engine.auto`` resolution.
-
-    ``engine="auto"`` re-evaluates its scalar-vs-batched split inside every
-    warm-started solve; scanning the ring buffer for the event would break
-    once the buffer wraps (a long serve run emits far more records than its
-    capacity), so the label is captured as the events stream past instead.
-    """
-
-    __slots__ = ("choice",)
-
-    def __init__(self) -> None:
-        self.choice: Optional[str] = None
-
-    def emit(self, record: dict) -> None:
-        if record.get("name") == "engine.auto":
-            self.choice = str(record.get("engine"))
-
-
 def run_serve(
     config: ServeConfig, telemetry=None, collect_results: bool = False
 ) -> ServeReport:
@@ -225,19 +206,16 @@ def run_serve(
     optional JSONL at ``config.trace_path``) with the aggregation and SLO
     stack attached as live sinks.  A disabled hub (``NULL_TELEMETRY``)
     serves every epoch with those sinks skipped: the report then carries
-    ``slo_checked=False``, no SLO violations, and the configured engine
-    label (the ``engine.auto`` resolution is only observable as an
-    event).  ``collect_results`` keeps every epoch's full
-    :class:`SEResult` on the report (utility traces for the warm-vs-cold
-    convergence comparison); off by default so long serve runs don't
-    accumulate per-round arrays.
+    ``slo_checked=False`` and no SLO violations; rows name the engine
+    that ran (``SEResult.engine``) either way.  ``collect_results`` keeps
+    every epoch's full :class:`SEResult` on the report (utility traces for
+    the warm-vs-cold convergence comparison); off by default so long serve
+    runs don't accumulate per-round arrays.
     """
     if telemetry is None:
         telemetry = build_telemetry(config.trace_path)
-    engine_choice = _EngineChoiceSink()
     tracker: Optional[SloTracker] = None
     if telemetry.enabled:
-        telemetry.add_sink(engine_choice)
         aggregator = MetricsAggregator()
         telemetry.add_sink(aggregator)
         tracker = SloTracker(load_slo_specs(), aggregator, telemetry=telemetry)
@@ -264,9 +242,6 @@ def run_serve(
             result = solver.solve(tick.instance)
         wall = time.perf_counter() - start
         wall99 = time_to_99(result, wall)
-        engine = config.engine
-        if engine == "auto" and engine_choice.choice is not None:
-            engine = engine_choice.choice
         if collect_results:
             results.append(result)
         permitted = _scheduled_ids(result)
@@ -282,7 +257,7 @@ def run_serve(
             utility=result.best_utility,
             weight=result.best_weight,
             iterations=result.iterations,
-            engine=engine,
+            engine=result.engine,
             warm=config.warm,
             joined=len(tick.joined),
             departed=len(tick.departed),
@@ -298,7 +273,7 @@ def run_serve(
                 converged=result.converged,
                 wall_s=wall,
                 wall_to_99_s=wall99,
-                engine=engine,
+                engine=result.engine,
                 txs_fed=tick.txs_fed,
                 joined=len(tick.joined),
                 departed=len(tick.departed),

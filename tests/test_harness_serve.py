@@ -115,6 +115,9 @@ class TestWarmServe:
         quiet = run_serve(ServeConfig(**SMALL), telemetry=NULL_TELEMETRY)
         default = run_serve(ServeConfig(**SMALL))
         assert [row.utility for row in quiet.rows] == [row.utility for row in default.rows]
+        # The rows name the engine that ran, not the configured "auto".
+        assert [row.engine for row in quiet.rows] == [row.engine for row in default.rows]
+        assert "auto" not in {row.engine for row in quiet.rows}
         assert not quiet.slo_checked and quiet.slo_violations == []
         assert quiet.to_json()["slo_checked"] is False
         assert default.slo_checked and "slo_checked" not in default.to_json()

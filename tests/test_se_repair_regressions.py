@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.dynamics import CommitteeEvent, EventKind
 from repro.core.problem import EpochInstance, MVComConfig
-from repro.core.repair import repair_capacity, repair_cardinality, repair_feasibility
+from repro.core.repair import repair_capacity, repair_feasibility
 from repro.core.se import SEConfig, StochasticExploration, _SolutionThread, _ThreadRng
 from repro.core.solution import Solution
 from repro.sim.rng import RandomStreams
@@ -130,12 +130,6 @@ class TestRepairMoves:
             broken = Solution(instance, np.ones(15, dtype=bool))
             repair_feasibility(instance, broken)
             assert broken.feasible, f"seed {seed}: {broken}"
-
-    def test_repair_cardinality_reexported_from_baselines(self):
-        """Compat: the historical import path must keep working."""
-        from repro.baselines.base import repair_cardinality as reexported
-
-        assert reexported is repair_cardinality
 
 
 class TestLeaveStreamIsolation:
