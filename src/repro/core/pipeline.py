@@ -88,13 +88,9 @@ class MultiEpochScheduler:
         self,
         scheduler: EpochSchedulerFn,
         config: MVComConfig,
-        latency_floor: float = 1.0,
     ) -> None:
-        if latency_floor <= 0:
-            raise ValueError("latency_floor must be positive")
         self.scheduler = scheduler
         self.config = config
-        self.latency_floor = latency_floor
 
     def run(self, epochs: Sequence[Sequence], id_offset: int = 1_000_000) -> PipelineResult:
         """Run every epoch; ``epochs[j]`` is that epoch's fresh shard records.
@@ -134,9 +130,7 @@ class MultiEpochScheduler:
                     CarriedShard(
                         shard_id=shard.shard_id,
                         tx_count=shard.tx_count,
-                        latency=carry_over_latency(
-                            shard.latency, instance.ddl, self.latency_floor
-                        ),
+                        latency=carry_over_latency(shard.latency, instance.ddl),
                         epochs_waited=shard.epochs_waited + 1,
                     )
                 )

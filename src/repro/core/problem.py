@@ -96,6 +96,9 @@ class EpochInstance:
     ddl:
         :math:`t_j = \\max_i l_i` over the arrived set, unless an explicit
         deadline was supplied.
+    ddl_given:
+        True when the deadline was supplied rather than derived; JOIN/LEAVE
+        edits (:meth:`without`, :meth:`with_shard`) then keep it.
     values:
         Separable utility contribution :math:`v_i = \\alpha s_i - (t_j - l_i)`.
     """
@@ -128,7 +131,8 @@ class EpochInstance:
         if len(set(self.shard_ids)) != len(self.shard_ids):
             raise ValueError("shard ids must be unique")
 
-        self.ddl = float(self.latencies.max()) if ddl is None else float(ddl)
+        self.ddl_given = ddl is not None
+        self.ddl = float(ddl) if self.ddl_given else float(self.latencies.max())
         if self.ddl < self.latencies.max() - 1e-9:
             raise ValueError("ddl must cover the slowest arrived shard")
 
@@ -228,8 +232,10 @@ class EpochInstance:
         """A new instance with one committee removed (leave/failure).
 
         N_min and the capacity cardinality re-derive from the smaller
-        arrived set; the DDL is inherited (the slowest remaining shard
-        still bounds it), so existing values v_i stay comparable.
+        arrived set.  A given DDL passes through unchanged, so the other
+        shards' values v_i stay put; a derived DDL re-derives from the
+        remaining latencies, so losing the slowest shard lowers it and
+        shifts every value.
         """
         position = self.position_of(shard_id)
         keep = np.ones(self.num_shards, dtype=bool)
@@ -241,14 +247,16 @@ class EpochInstance:
             latencies=self.latencies[keep],
             config=self.config,
             shard_ids=[sid for sid in self.shard_ids if sid != shard_id],
+            ddl=self.ddl if self.ddl_given else None,
         )
 
     def with_shard(self, shard_id: int, tx_count: int, latency: float) -> "EpochInstance":
         """A new instance with one committee added (join/recovery).
 
-        The DDL re-evaluates to the new maximum latency, so every existing
-        shard's age (and value) shifts -- exactly the behaviour of eq. (1)
-        when a straggler arrives.
+        A derived DDL re-evaluates to the new maximum latency, so every
+        existing shard's age (and value) shifts -- exactly the behaviour of
+        eq. (1) when a straggler arrives.  A given DDL becomes
+        ``max(ddl, latency)``, so it still covers the newcomer.
         """
         if shard_id in self.shard_ids:
             raise ValueError(f"shard id {shard_id} already present")
@@ -257,6 +265,7 @@ class EpochInstance:
             latencies=np.append(self.latencies, float(latency)),
             config=self.config,
             shard_ids=list(self.shard_ids) + [int(shard_id)],
+            ddl=max(self.ddl, float(latency)) if self.ddl_given else None,
         )
 
     def carry_over_latency(self, shard_id: int, floor: float = 1.0) -> float:

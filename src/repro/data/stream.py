@@ -61,20 +61,16 @@ class EpochStreamConfig:
         Net committees added (or removed, if negative) per epoch on top
         of churn — drives a serve run across the ``engine="auto"``
         scalar-vs-batched split.
-    carry_floor:
-        Minimum carried latency for refused committees (Fig. 3 carry).
     """
 
     num_committees: int = 60
     capacity: Optional[int] = None
     alpha: float = 1.5
     n_min_fraction: float = 0.5
-    n_max_fraction: float = 0.8
     seed: int = 0
     rate: float = 1.3
     churn: float = 0.1
     growth: int = 0
-    carry_floor: float = 1.0
     trace: BitcoinTraceConfig = field(default_factory=BitcoinTraceConfig)
 
     def __post_init__(self) -> None:
@@ -86,8 +82,6 @@ class EpochStreamConfig:
             raise ValueError("rate must be positive")
         if not 0.0 <= self.churn < 1.0:
             raise ValueError("churn must be in [0, 1)")
-        if self.carry_floor <= 0:
-            raise ValueError("carry_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -186,9 +180,7 @@ class EpochStream:
                 if shard_id in permitted or shard_id not in self.committees:
                     continue
                 committee = self.committees[shard_id]
-                committee.latency = carry_over_latency(
-                    committee.latency, prev_ddl, floor=config.carry_floor
-                )
+                committee.latency = carry_over_latency(committee.latency, prev_ddl)
                 carried.append(shard_id)
 
         # 3. Churn: replace a fraction of the population with fresh ids.
@@ -238,7 +230,6 @@ class EpochStream:
             alpha=config.alpha,
             capacity=capacity,
             n_min_fraction=config.n_min_fraction,
-            n_max_fraction=config.n_max_fraction,
         )
         shards = [
             _ShardView(shard_id, self.committees[shard_id].pending, self.committees[shard_id].latency)

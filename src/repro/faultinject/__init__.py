@@ -9,8 +9,11 @@ membership bookkeeping, Theorem-2 perturbation sanity, trace monotonicity)
 stay armed.  A failing storm shrinks to a 1-minimal replayable JSON
 reproducer.
 
-Entry points: :func:`run_storm` (one SE solve), :func:`run_epoch_storm`
-(the multi-epoch chain loop), ``mvcom storm`` on the command line.
+Entry points: :func:`run_storm` (one SE solve), :func:`run_serve_storm`
+(the warm-started multi-epoch serve loop), ``mvcom storm`` on the command
+line (``--epochs N`` with N > 1 runs the serve loop).  Both kinds of
+failure leave a replayable reproducer, written by :func:`save_reproducer`
+and read back by :func:`load_reproducer`.
 """
 
 from repro.faultinject.invariants import (
@@ -23,7 +26,6 @@ from repro.faultinject.invariants import (
 from repro.faultinject.runner import (
     DEFAULT_ARMED,
     REPRODUCER_FORMAT,
-    EpochStormOutcome,
     StormOutcome,
     build_storm_instance,
     event_from_json,
@@ -31,21 +33,17 @@ from repro.faultinject.runner import (
     load_reproducer,
     make_reproducer,
     replay_reproducer,
-    run_epoch_storm,
     run_storm,
     save_reproducer,
     shrink_storm,
-    storm_workload_config,
 )
 from repro.faultinject.serve import (
     SERVE_REPRODUCER_FORMAT,
     ServeStormConfig,
     ServeStormOutcome,
-    load_serve_reproducer,
     make_serve_reproducer,
     replay_serve_reproducer,
     run_serve_storm,
-    save_serve_reproducer,
 )
 from repro.faultinject.shrink import shrink_events
 from repro.faultinject.storm import StormConfig, generate_storm
@@ -55,15 +53,12 @@ __all__ = [
     "SERVE_REPRODUCER_FORMAT",
     "ServeStormConfig",
     "ServeStormOutcome",
-    "load_serve_reproducer",
     "make_serve_reproducer",
     "replay_serve_reproducer",
     "run_serve_storm",
-    "save_serve_reproducer",
     "DEFAULT_INVARIANTS",
     "KNOWN_INVARIANTS",
     "REPRODUCER_FORMAT",
-    "EpochStormOutcome",
     "StormConfig",
     "StormInvariantViolation",
     "StormOutcome",
@@ -76,10 +71,8 @@ __all__ = [
     "load_reproducer",
     "make_reproducer",
     "replay_reproducer",
-    "run_epoch_storm",
     "run_storm",
     "save_reproducer",
     "shrink_events",
     "shrink_storm",
-    "storm_workload_config",
 ]

@@ -15,13 +15,6 @@ A violated outcome shrinks (:func:`shrink_storm`) to a 1-minimal schedule
 with the same failure signature and serialises as a replayable JSON
 reproducer — :func:`replay_reproducer` reruns it bit-for-bit from the
 stored seed, so a CI artifact is a complete bug report.
-
-:func:`run_epoch_storm` runs the same storms *through the chain epoch
-loop* (:class:`repro.core.pipeline.MultiEpochScheduler`): each epoch's SE
-solve faces its own storm slice, and the surviving selection is projected
-back onto the pipeline's candidate set by stable shard id (committees that
-joined mid-storm are unknown to the pipeline and drop out; committees that
-left are simply refused and carry over per Fig. 3).
 """
 
 from __future__ import annotations
@@ -30,18 +23,10 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.dynamics import CommitteeEvent, DynamicSchedule, EventKind
-from repro.core.pipeline import MultiEpochScheduler, PipelineResult
 from repro.core.problem import EpochInstance
 from repro.core.se import InfeasibleEpochError, SEConfig, SEResult, StochasticExploration
-from repro.data.workload import (
-    WorkloadConfig,
-    arrived_shards,
-    generate_epoch_workload,
-    multi_epoch_workloads,
-)
+from repro.data.workload import WorkloadConfig, generate_epoch_workload
 from repro.faultinject.invariants import (
     DEFAULT_INVARIANTS,
     StormInvariantViolation,
@@ -51,14 +36,18 @@ from repro.faultinject.invariants import (
 from repro.faultinject.shrink import shrink_events
 from repro.faultinject.storm import StormConfig, generate_storm
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
-from repro.sim.rng import RandomStreams, derive_seed
+from repro.sim.rng import RandomStreams
 
 #: What :func:`run_storm` arms when the caller does not choose: the
 #: event-boundary invariants plus the post-hoc trace check.
 DEFAULT_ARMED = DEFAULT_INVARIANTS + ("trace-monotone",)
 
-#: On-disk format tag for reproducer files.
+#: On-disk format tag for single-solve reproducer files.
 REPRODUCER_FORMAT = "mvcom-storm-reproducer-v1"
+
+#: On-disk format tag for serve-loop reproducer files
+#: (:mod:`repro.faultinject.serve`).
+SERVE_REPRODUCER_FORMAT = "mvcom-serve-reproducer-v1"
 
 
 @dataclass
@@ -87,43 +76,21 @@ class StormOutcome:
         return self.violation.invariant if self.violation is not None else None
 
 
-def storm_workload_config(config: StormConfig) -> WorkloadConfig:
-    """The workload a storm batters (paper trace, storm-sized).
+def build_storm_instance(config: StormConfig) -> EpochInstance:
+    """The bootstrap epoch instance for one storm run (paper trace, storm-sized).
 
     ``capacity=None`` applies the paper's scaling :math:`\\hat C = 1000\\,
     |I_j|` (Section VI-A) so storm instances stay properly oversubscribed at
     any committee count.
     """
     capacity = config.capacity if config.capacity is not None else 1_000 * config.num_committees
-    return WorkloadConfig(
+    workload = WorkloadConfig(
         num_committees=config.num_committees,
         capacity=capacity,
         alpha=config.alpha,
         seed=config.seed,
     )
-
-
-def build_storm_instance(config: StormConfig) -> EpochInstance:
-    """The bootstrap epoch instance for one storm run."""
-    return generate_epoch_workload(storm_workload_config(config)).instance
-
-
-def _solver(
-    config: StormConfig,
-    telemetry: NullTelemetry,
-    seed: Optional[int] = None,
-    engine: str = "serial",
-    num_workers: int = 4,
-) -> StochasticExploration:
-    se_config = SEConfig(
-        num_threads=config.gamma,
-        max_iterations=config.max_iterations,
-        convergence_window=config.convergence_window,
-        seed=config.seed if seed is None else seed,
-        engine=engine,
-        num_workers=num_workers,
-    )
-    return StochasticExploration(se_config, telemetry=telemetry)
+    return generate_epoch_workload(workload).instance
 
 
 def run_storm(
@@ -150,7 +117,17 @@ def run_storm(
         events = generate_storm(instance, config, RandomStreams(config.seed))
     events = list(events)
 
-    solver = _solver(config, telemetry, engine=engine, num_workers=num_workers)
+    solver = StochasticExploration(
+        SEConfig(
+            num_threads=config.gamma,
+            max_iterations=config.max_iterations,
+            convergence_window=config.convergence_window,
+            seed=config.seed,
+            engine=engine,
+            num_workers=num_workers,
+        ),
+        telemetry=telemetry,
+    )
     probe = StormProbe(solver, instance, armed=armed, telemetry=telemetry)
     schedule = DynamicSchedule(events=list(events))
 
@@ -277,13 +254,19 @@ def save_reproducer(path: str, reproducer: Dict) -> None:
 
 
 def load_reproducer(path: str) -> Dict:
-    """Read a reproducer, validating the format tag."""
+    """Read a single-solve or serve-loop reproducer, validating the format tag.
+
+    The caller dispatches on ``reproducer["format"]``:
+    :func:`replay_reproducer` for :data:`REPRODUCER_FORMAT`,
+    :func:`repro.faultinject.serve.replay_serve_reproducer` for
+    :data:`SERVE_REPRODUCER_FORMAT`.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         reproducer = json.load(handle)
-    if reproducer.get("format") != REPRODUCER_FORMAT:
+    if reproducer.get("format") not in (REPRODUCER_FORMAT, SERVE_REPRODUCER_FORMAT):
         raise ValueError(
-            f"{path} is not a {REPRODUCER_FORMAT} file "
-            f"(format={reproducer.get('format')!r})"
+            f"{path} is not a {REPRODUCER_FORMAT} or {SERVE_REPRODUCER_FORMAT} "
+            f"file (format={reproducer.get('format')!r})"
         )
     return reproducer
 
@@ -313,114 +296,3 @@ def replay_reproducer(
         engine=engine,
         num_workers=num_workers,
     )
-
-
-# ---------------------------------------------------------------------- #
-# the chain epoch loop under storms
-# ---------------------------------------------------------------------- #
-@dataclass
-class EpochStormOutcome:
-    """A multi-epoch pipeline run where every epoch faced its own storm."""
-
-    status: str  # "survived" | "violated" | "infeasible"
-    config: StormConfig
-    pipeline: Optional[PipelineResult] = None
-    epoch_outcomes: List[StormOutcome] = field(default_factory=list)
-    violation: Optional[StormInvariantViolation] = None
-    infeasible_reason: Optional[str] = None
-
-    @property
-    def survived(self) -> bool:
-        """True when every epoch's storm passed its armed invariants."""
-        return self.status == "survived"
-
-
-def run_epoch_storm(
-    config: StormConfig,
-    armed: Optional[Sequence[str]] = None,
-    telemetry: NullTelemetry = NULL_TELEMETRY,
-    engine: str = "serial",
-    num_workers: int = 4,
-) -> EpochStormOutcome:
-    """Drive :class:`MultiEpochScheduler` with a storm inside every epoch.
-
-    Each epoch's scheduler call runs a full SE solve under that epoch's
-    slice of the storm (fresh seed derivation per epoch, so epochs are
-    independent streams).  The SE result's selection lives on the storm's
-    *final* instance — which has diverged from the pipeline's candidate set
-    through joins and leaves — so it is projected back by stable shard id:
-    mid-storm joiners are invisible to the pipeline and drop; leavers are
-    refused and re-enter next epoch via Fig. 3 carry-over.
-    """
-    armed = tuple(armed) if armed is not None else DEFAULT_ARMED
-    workload = storm_workload_config(config)
-    workloads = multi_epoch_workloads(workload, config.epochs)
-    fresh_per_epoch = [
-        arrived_shards(epoch_workload.shards, workload.n_max_fraction)
-        for epoch_workload in workloads
-    ]
-
-    outcome = EpochStormOutcome(status="survived", config=config)
-    epoch_cursor = {"epoch": 0}
-
-    def storm_scheduler(instance: EpochInstance) -> np.ndarray:
-        epoch = epoch_cursor["epoch"]
-        epoch_cursor["epoch"] += 1
-        epoch_config = config.per_epoch(epoch)
-        epoch_seed = derive_seed(config.seed, f"storm-epoch-{epoch}")
-        events = generate_storm(instance, epoch_config, RandomStreams(epoch_seed))
-        solver = _solver(
-            epoch_config, telemetry, seed=epoch_seed, engine=engine, num_workers=num_workers
-        )
-        probe = StormProbe(solver, instance, armed=armed, telemetry=telemetry)
-        result = solver.solve(instance, DynamicSchedule(events=list(events)), probe=probe)
-        if "trace-monotone" in armed:
-            check_trace_monotone(result.utility_trace, probe.boundaries)
-        outcome.epoch_outcomes.append(
-            StormOutcome(
-                status="survived",
-                config=epoch_config,
-                armed=armed,
-                events=list(events),
-                result=result,
-                boundaries=list(probe.boundaries),
-                checks_run=probe.checks_run,
-                theorem2_checked=probe.theorem2_checked,
-            )
-        )
-        if telemetry.enabled:
-            telemetry.event(
-                "storm.epoch",
-                epoch=epoch,
-                events=len(events),
-                boundaries=len(probe.boundaries),
-                iterations=result.iterations,
-                best_utility=result.best_utility,
-            )
-        final = result.final_instance
-        selected = {
-            shard_id
-            for shard_id, chosen in zip(final.shard_ids, result.best_mask)
-            if chosen
-        }
-        return np.array([sid in selected for sid in instance.shard_ids], dtype=bool)
-
-    pipeline = MultiEpochScheduler(storm_scheduler, workload.mvcom_config())
-    try:
-        outcome.pipeline = pipeline.run(fresh_per_epoch)
-    except StormInvariantViolation as violation:
-        outcome.status = "violated"
-        outcome.violation = violation
-    except InfeasibleEpochError as exc:
-        outcome.status = "infeasible"
-        outcome.infeasible_reason = str(exc)
-
-    if telemetry.enabled:
-        telemetry.event(
-            "storm.pipeline",
-            status=outcome.status,
-            epochs=len(outcome.epoch_outcomes),
-            total_throughput=outcome.pipeline.total_throughput if outcome.pipeline else None,
-            worst_starvation=outcome.pipeline.worst_starvation if outcome.pipeline else None,
-        )
-    return outcome

@@ -12,11 +12,14 @@ incumbent from the wrong instance, infeasible carried solutions).
 A violation serialises as a ``mvcom-serve-reproducer-v1`` document: the
 whole epoch-by-epoch event history up to the failure plus the serve-storm
 config, enough to replay the service loop bit-for-bit to the same raise.
+It is written and read by the same
+:func:`~repro.faultinject.runner.save_reproducer` /
+:func:`~repro.faultinject.runner.load_reproducer` pair as single-solve
+reproducers.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -29,7 +32,12 @@ from repro.faultinject.invariants import (
     StormProbe,
     check_trace_monotone,
 )
-from repro.faultinject.runner import DEFAULT_ARMED, event_from_json, event_to_json
+from repro.faultinject.runner import (
+    DEFAULT_ARMED,
+    SERVE_REPRODUCER_FORMAT,
+    event_from_json,
+    event_to_json,
+)
 from repro.faultinject.storm import StormConfig, generate_storm
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
 from repro.sim.rng import RandomStreams, derive_seed
@@ -40,13 +48,8 @@ __all__ = [
     "SERVE_REPRODUCER_FORMAT",
     "run_serve_storm",
     "make_serve_reproducer",
-    "save_serve_reproducer",
-    "load_serve_reproducer",
     "replay_serve_reproducer",
 ]
-
-#: On-disk format tag for serve-mode reproducer files.
-SERVE_REPRODUCER_FORMAT = "mvcom-serve-reproducer-v1"
 
 
 @dataclass(frozen=True)
@@ -134,11 +137,8 @@ def _epoch_storm(
     generator's constant stream key never reuses a Mersenne sequence
     across the serve loop's iterations.
     """
-    return generate_storm(
-        instance,
-        config.storm_config(epoch),
-        RandomStreams(derive_seed(config.seed, f"serve-storm-epoch-{epoch}")),
-    )
+    storm = config.storm_config(epoch)
+    return generate_storm(instance, storm, RandomStreams(storm.seed))
 
 
 def run_serve_storm(
@@ -275,25 +275,6 @@ def make_serve_reproducer(outcome: ServeStormOutcome) -> Dict:
             for events in outcome.events_by_epoch
         ],
     }
-
-
-def save_serve_reproducer(path: str, reproducer: Dict) -> None:
-    """Write a serve reproducer deterministically (sorted keys)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(reproducer, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_serve_reproducer(path: str) -> Dict:
-    """Read a serve reproducer, validating the format tag."""
-    with open(path, "r", encoding="utf-8") as handle:
-        reproducer = json.load(handle)
-    if reproducer.get("format") != SERVE_REPRODUCER_FORMAT:
-        raise ValueError(
-            f"{path} is not a {SERVE_REPRODUCER_FORMAT} file "
-            f"(format={reproducer.get('format')!r})"
-        )
-    return reproducer
 
 
 def replay_serve_reproducer(

@@ -20,7 +20,7 @@ current DDL — re-valuing every shard via eq. (1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -56,7 +56,6 @@ class StormConfig:
     gamma: int = 4
     max_iterations: int = 1_500
     convergence_window: int = 400
-    epochs: int = 1
 
     first_iteration: int = 10
     burst_mean: float = 4.0
@@ -73,8 +72,8 @@ class StormConfig:
             raise ValueError("num_events must be non-negative")
         if self.num_committees <= 0:
             raise ValueError("num_committees must be positive")
-        if self.gamma <= 0 or self.max_iterations <= 0 or self.epochs <= 0:
-            raise ValueError("gamma, max_iterations and epochs must be positive")
+        if self.gamma <= 0 or self.max_iterations <= 0:
+            raise ValueError("gamma and max_iterations must be positive")
         if self.burst_mean < 1 or self.gap_mean < 1:
             raise ValueError("burst_mean and gap_mean must be >= 1")
         for name in (
@@ -89,14 +88,6 @@ class StormConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.min_live < 1:
             raise ValueError("min_live must be >= 1 (an epoch needs a shard)")
-
-    def per_epoch(self, epoch: int) -> "StormConfig":
-        """The slice of this storm one pipeline epoch receives.
-
-        Events are split evenly across ``epochs``; the seed is re-derived
-        per epoch by the caller's stream fork, so this only rescales counts.
-        """
-        return replace(self, num_events=max(self.num_events // self.epochs, 1), epochs=1)
 
 
 @dataclass

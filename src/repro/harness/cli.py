@@ -327,8 +327,10 @@ def main(argv=None) -> int:
     parser.add_argument("--events", type=int, default=200,
                         help="storm: number of churn events to generate (default 200)")
     parser.add_argument("--epochs", type=int, default=None,
-                        help="storm: multi-epoch chain loop epochs (default 1); "
-                        "serve: epochs to serve (default 8)")
+                        help="storm: epochs of the warm-started serve loop to "
+                        "batter (default 1, a single SE solve; >1 rejects "
+                        "--shrink and --capacity); serve: epochs to serve "
+                        "(default 8)")
     parser.add_argument("--rate", type=float, default=1.3,
                         help="serve: trace blocks fed per live committee per "
                         "epoch (default 1.3)")
@@ -407,6 +409,17 @@ def main(argv=None) -> int:
     if args.experiment == "storm":
         if args.paths:
             parser.error(f"unexpected positional arguments for 'storm': {args.paths}")
+        if args.epochs is not None and args.epochs < 1:
+            parser.error("storm: --epochs must be positive")
+        if args.epochs is not None and args.epochs > 1:
+            # Serve-loop storms have no shrinker, and their stream sizes
+            # Ĉ by the paper's 1000·|I_j| rule every epoch.
+            if args.shrink:
+                parser.error("storm: --shrink only applies to single-epoch "
+                             "storms, not --epochs > 1")
+            if args.capacity is not None:
+                parser.error("storm: --capacity only applies to single-epoch "
+                             "storms, not --epochs > 1")
         from repro.harness.storms import run_storm_cli
 
         return run_storm_cli(args)

@@ -1,10 +1,15 @@
 """``mvcom storm``: churn-storm fault injection from the command line.
 
-Harness glue around :mod:`repro.faultinject`: builds the
-:class:`~repro.faultinject.StormConfig` from CLI flags, owns the telemetry
-hub (rule MV007 — the faultinject package only *receives* one), renders a
-human summary, and on a violation optionally shrinks the schedule and
-writes the minimal reproducer JSON so CI can attach it as an artifact.
+Harness glue around :mod:`repro.faultinject`: builds the storm config
+from CLI flags, owns the telemetry hub (rule MV007 — the faultinject
+package only *receives* one), and renders a human summary.  ``--epochs 1``
+(the default) batters one SE solve (:func:`~repro.faultinject.run_storm`);
+on a violation ``--shrink`` cuts the schedule to a 1-minimal reproducer.
+``--epochs N`` with N > 1 batters the warm-started serve loop
+(:func:`~repro.faultinject.run_serve_storm`) and writes its whole event
+history as the reproducer on every violation.  Either reproducer goes to
+``--out`` so CI can attach it as an artifact, and ``--replay`` reruns
+either kind.
 
 Exit codes: 0 for ``survived`` (and for graceful ``infeasible``
 degradation), 1 for a ``violated`` invariant — so ``mvcom storm`` slots
@@ -13,16 +18,19 @@ directly into a CI job.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.faultinject import (
     DEFAULT_ARMED,
+    REPRODUCER_FORMAT,
+    ServeStormConfig,
+    ServeStormOutcome,
     StormConfig,
     StormOutcome,
     load_reproducer,
     make_reproducer,
+    make_serve_reproducer,
     replay_reproducer,
-    run_epoch_storm,
+    replay_serve_reproducer,
+    run_serve_storm,
     run_storm,
     save_reproducer,
     shrink_storm,
@@ -35,7 +43,7 @@ DEFAULT_REPRODUCER_PATH = "storm_reproducer.json"
 
 
 def config_from_args(args) -> StormConfig:
-    """Map the CLI namespace onto a :class:`StormConfig`."""
+    """Map the CLI namespace onto a single-solve :class:`StormConfig`."""
     return StormConfig(
         seed=args.seed,
         num_events=args.events,
@@ -44,7 +52,23 @@ def config_from_args(args) -> StormConfig:
         gamma=args.gamma,
         max_iterations=args.iterations,
         convergence_window=max(args.iterations // 4, 50),
-        epochs=args.epochs if args.epochs is not None else 1,
+    )
+
+
+def serve_config_from_args(args) -> ServeStormConfig:
+    """Map the CLI namespace onto a multi-epoch :class:`ServeStormConfig`.
+
+    ``--events`` counts the whole storm: each epoch gets an even share
+    (at least one event).
+    """
+    return ServeStormConfig(
+        seed=args.seed,
+        epochs=args.epochs,
+        num_committees=args.committees,
+        events_per_epoch=max(args.events // args.epochs, 1),
+        gamma=args.gamma,
+        max_iterations=args.iterations,
+        convergence_window=max(args.iterations // 4, 50),
     )
 
 
@@ -92,49 +116,71 @@ def _handle_violation(outcome: StormOutcome, args, telemetry) -> None:
     print(f"  [reproducer written to {out_path}]")
 
 
-def _run_replay(args, telemetry) -> int:
-    reproducer = load_reproducer(args.replay)
-    failure = reproducer.get("failure", {})
-    print(f"replaying {args.replay}")
-    print(f"  recorded failure: [{failure.get('invariant')}] {failure.get('message')}")
-    outcome = replay_reproducer(reproducer, telemetry=telemetry)
-    _print_outcome(outcome)
-    if outcome.status == "violated":
-        recorded = failure.get("invariant")
-        if recorded and outcome.signature == recorded:
-            print("  replay reproduced the recorded failure")
-        return 1
-    print("  replay did NOT reproduce the recorded failure")
-    return 0
-
-
-def _run_epochs(config: StormConfig, armed, telemetry) -> int:
-    outcome = run_epoch_storm(config, armed=armed, telemetry=telemetry)
+def _print_serve_outcome(outcome: ServeStormOutcome) -> None:
+    config = outcome.config
     print(
-        f"epoch storm: seed={config.seed} epochs={config.epochs} "
-        f"committees={config.num_committees}"
+        f"serve storm: seed={config.seed} epochs={config.epochs} "
+        f"committees={config.num_committees} gamma={config.gamma} warm={config.warm}"
     )
-    print(f"  status={outcome.status}  epochs-completed={len(outcome.epoch_outcomes)}")
-    for epoch_index, epoch_outcome in enumerate(outcome.epoch_outcomes):
-        result = epoch_outcome.result
+    print(
+        f"  status={outcome.status}  epochs-completed={len(outcome.results)}"
+        f"  invariant-checks={outcome.checks_run}"
+    )
+    for epoch, events in enumerate(outcome.events_by_epoch):
+        result = outcome.results[epoch] if epoch < len(outcome.results) else None
         utility = f"{result.best_utility:.2f}" if result else "-"
         print(
-            f"  epoch {epoch_index}: events={len(epoch_outcome.events)}"
-            f"  boundaries={len(epoch_outcome.boundaries)}"
+            f"  epoch {epoch}: events={len(events)}"
+            f"  boundaries={len(outcome.boundaries_by_epoch[epoch])}"
             f"  iterations={result.iterations if result else '-'}"
             f"  utility={utility}"
         )
-    if outcome.pipeline is not None:
-        print(
-            f"  total_throughput={outcome.pipeline.total_throughput} TXs"
-            f"  worst_starvation={outcome.pipeline.worst_starvation} epochs"
-        )
     if outcome.violation is not None:
-        print(f"  VIOLATION: {outcome.violation}")
-        return 1
+        print(f"  VIOLATION in epoch {outcome.failed_epoch}: {outcome.violation}")
     if outcome.infeasible_reason is not None:
-        print(f"  infeasible (graceful): {outcome.infeasible_reason}")
-    return 0
+        print(
+            f"  infeasible (graceful) in epoch {outcome.failed_epoch}: "
+            f"{outcome.infeasible_reason}"
+        )
+
+
+def _run_serve(args, armed, telemetry) -> int:
+    outcome = run_serve_storm(serve_config_from_args(args), armed=armed, telemetry=telemetry)
+    _print_serve_outcome(outcome)
+    if outcome.status != "violated":
+        return 0
+    out_path = args.out or DEFAULT_REPRODUCER_PATH
+    save_reproducer(out_path, make_serve_reproducer(outcome))
+    print(f"  [reproducer written to {out_path}]")
+    return 1
+
+
+def _run_replay(args, telemetry) -> int:
+    reproducer = load_reproducer(args.replay)
+    failure = reproducer.get("failure", {})
+    recorded = failure.get("invariant")
+    print(f"replaying {args.replay}")
+    if reproducer["format"] == REPRODUCER_FORMAT:
+        print(f"  recorded failure: {failure.get('message')}")
+        outcome = replay_reproducer(reproducer, telemetry=telemetry)
+        _print_outcome(outcome)
+        reproduced = outcome.status == "violated" and outcome.signature == recorded
+    else:
+        detail = failure.get("message") if recorded else failure.get("infeasible_reason")
+        print(f"  recorded failure in epoch {failure.get('epoch')}: {detail}")
+        outcome = replay_serve_reproducer(reproducer, telemetry=telemetry)
+        _print_serve_outcome(outcome)
+        replayed = outcome.violation.invariant if outcome.violation else None
+        reproduced = (
+            outcome.status == ("violated" if recorded else "infeasible")
+            and outcome.failed_epoch == failure.get("epoch")
+            and replayed == recorded
+        )
+    if reproduced:
+        print("  replay reproduced the recorded failure")
+    else:
+        print("  replay did NOT reproduce the recorded failure")
+    return 1 if outcome.status == "violated" else 0
 
 
 def run_storm_cli(args) -> int:
@@ -143,11 +189,10 @@ def run_storm_cli(args) -> int:
     try:
         if args.replay:
             return _run_replay(args, telemetry)
-        config = config_from_args(args)
         armed = _armed_from_args(args)
-        if config.epochs > 1:
-            return _run_epochs(config, armed, telemetry)
-        outcome = run_storm(config, armed=armed, telemetry=telemetry)
+        if args.epochs is not None and args.epochs > 1:
+            return _run_serve(args, armed, telemetry)
+        outcome = run_storm(config_from_args(args), armed=armed, telemetry=telemetry)
         _print_outcome(outcome)
         if outcome.status == "violated":
             _handle_violation(outcome, args, telemetry)

@@ -102,10 +102,6 @@ class TestPipeline:
         result = MultiEpochScheduler(greedy_mask, CONFIG).run([[], []])
         assert result.reports == []
 
-    def test_invalid_floor_rejected(self):
-        with pytest.raises(ValueError):
-            MultiEpochScheduler(greedy_mask, CONFIG, latency_floor=0.0)
-
     def test_carried_shard_flags(self):
         fresh = CarriedShard(shard_id=1, tx_count=10, latency=5.0)
         waited = CarriedShard(shard_id=1, tx_count=10, latency=5.0, epochs_waited=2)

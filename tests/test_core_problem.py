@@ -142,6 +142,20 @@ class TestDynamicsSupport:
         # Every existing shard aged by the new straggler.
         assert np.all(bigger.ages[:6] >= tiny_instance.ages)
 
+    def test_given_ddl_survives_leave_and_join(self):
+        config = MVComConfig(alpha=1.5, capacity=10_000)
+        instance = EpochInstance([100, 200, 300], [1.0, 2.0, 5.0], config, ddl=8.0)
+        # LEAVE of the slowest shard keeps the given DDL and every value.
+        smaller = instance.without(2)
+        assert smaller.ddl == 8.0
+        assert smaller.values.tolist() == instance.values[:2].tolist()
+        # JOIN keeps it while it covers the newcomer, then stretches to it.
+        assert instance.with_shard(7, tx_count=50, latency=6.0).ddl == 8.0
+        assert instance.with_shard(7, tx_count=50, latency=9.0).ddl == 9.0
+        # A derived DDL still re-derives.
+        derived = EpochInstance([100, 200, 300], [1.0, 2.0, 5.0], config)
+        assert derived.without(2).ddl == 2.0
+
     def test_with_duplicate_id_rejected(self, tiny_instance):
         with pytest.raises(ValueError):
             tiny_instance.with_shard(2, tx_count=1, latency=1.0)

@@ -15,15 +15,13 @@ import json
 import pytest
 
 from repro.faultinject.invariants import StormInvariantViolation
-from repro.faultinject.runner import DEFAULT_ARMED
+from repro.faultinject.runner import DEFAULT_ARMED, load_reproducer, save_reproducer
 from repro.faultinject.serve import (
     SERVE_REPRODUCER_FORMAT,
     ServeStormConfig,
-    load_serve_reproducer,
     make_serve_reproducer,
     replay_serve_reproducer,
     run_serve_storm,
-    save_serve_reproducer,
 )
 
 SMALL = ServeStormConfig(
@@ -138,9 +136,9 @@ class TestServeReproducer:
         outcome = run_serve_storm(SMALL, extra_invariants={"bomb": bomb})
         reproducer = make_serve_reproducer(outcome)
         path = tmp_path / "serve_reproducer.json"
-        save_serve_reproducer(str(path), reproducer)
+        save_reproducer(str(path), reproducer)
 
-        loaded = load_serve_reproducer(str(path))
+        loaded = load_reproducer(str(path))
         assert loaded["format"] == SERVE_REPRODUCER_FORMAT
         assert loaded["failure"]["invariant"] == "bomb"
         assert loaded["failure"]["epoch"] == outcome.failed_epoch
@@ -169,12 +167,12 @@ class TestServeReproducer:
         reproducer = make_serve_reproducer(outcome)
         first = tmp_path / "first.json"
         second = tmp_path / "second.json"
-        save_serve_reproducer(str(first), reproducer)
-        save_serve_reproducer(str(second), make_serve_reproducer(outcome))
+        save_reproducer(str(first), reproducer)
+        save_reproducer(str(second), make_serve_reproducer(outcome))
         assert first.read_text() == second.read_text()
 
     def test_format_tag_enforced(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(ValueError, match=SERVE_REPRODUCER_FORMAT):
-            load_serve_reproducer(str(path))
+            load_reproducer(str(path))
